@@ -8,14 +8,14 @@ test:
 	dune runtest
 
 # Times the batch payment engine (sequential vs WNET_DOMAINS-sized domain
-# pool, graph-copy vs zero-copy avoidance), the incremental session
-# engine against from-scratch batches, the server coalesced-burst vs
-# eager-flush rows, plus the Bechamel micro-benches, and leaves the
-# machine-readable trajectory in bench/results/BENCH_latest.json (+ a
-# timestamped copy).  The gate compares the fresh headline wall-clocks
-# against the previous BENCH_latest.json and fails on any >20% slowdown
-# (baselines normalised by a machine-speed canary; suspect rows get one
-# re-measurement before they can fail the run).
+# pool), the incremental session engine against from-scratch batches,
+# the server coalesced-burst vs eager-flush rows, plus the Bechamel
+# micro-benches, and leaves the machine-readable trajectory in
+# bench/results/BENCH_latest.json (+ a timestamped copy).  The gate
+# compares the fresh headline wall-clocks against the previous
+# BENCH_latest.json and fails on any >20% slowdown (baselines normalised
+# by a machine-speed canary; suspect rows get one re-measurement before
+# they can fail the run).
 bench: microbench
 	dune exec bench/main.exe -- micro --json --gate
 

@@ -16,8 +16,8 @@
    The micro-benchmarks time the paper's Algorithm 1 against the naive
    payment computation (the Sec. III-B complexity claim), plus the
    primitives they are built from.  The batch suite times the all-to-root
-   payment engines — sequential vs Wnet_par domain pool, graph-copy vs
-   zero-copy avoidance — at n in {100, 200, 400, 800}.  The session suite
+   payment engines — sequential vs Wnet_par domain pool — at n in
+   {100, 200, 400, 800}.  The session suite
    times single-edit incremental recomputes against from-scratch batches
    at the same sizes; the server suite times a coalesced k-edit burst
    (one invalidation pass) against k eager single-edit flushes; the
@@ -283,24 +283,32 @@ let run_batch ?previous () =
           let dg = digraph_instance 9 ~n in
           record "unicast-batch/seq" n 1 (fun () ->
               Wnet_core.Unicast.all_to_root gn ~root:0);
-          record "unicast-batch/boxed/seq" n 1 (fun () ->
-              Wnet_core.Unicast.all_to_root ~kernel:`Boxed gn ~root:0);
           record "unicast-batch/par" n pool_domains (fun () ->
               Wnet_core.Unicast.all_to_root ~pool gn ~root:0);
-          record "linkcost-batch/copy/seq" n 1 (fun () ->
-              Wnet_core.Link_cost.all_to_root
-                ~strategy:Wnet_core.Link_cost.Copy_graph dg ~root:0);
           record "linkcost-batch/zerocopy/seq" n 1 (fun () ->
-              Wnet_core.Link_cost.all_to_root
-                ~strategy:Wnet_core.Link_cost.Zero_copy dg ~root:0);
-          record "linkcost-batch/boxed/seq" n 1 (fun () ->
-              Wnet_core.Link_cost.all_to_root
-                ~strategy:Wnet_core.Link_cost.Zero_copy ~kernel:`Boxed dg
-                ~root:0);
+              Wnet_core.Link_cost.all_to_root dg ~root:0);
           record "linkcost-batch/zerocopy/par" n pool_domains (fun () ->
               Wnet_core.Link_cost.all_to_root ~pool dg ~root:0))
         batch_ns;
       (pool_domains, List.rev !samples))
+
+(* Pooled vs sequential wall-clock per n, both payment models. *)
+let batch_speedups samples =
+  let find bench n =
+    List.find_opt (fun s -> s.bench = bench && s.bn = n) samples
+  in
+  List.filter_map
+    (fun n ->
+      match
+        ( find "unicast-batch/seq" n,
+          find "unicast-batch/par" n,
+          find "linkcost-batch/zerocopy/seq" n,
+          find "linkcost-batch/zerocopy/par" n )
+      with
+      | Some us, Some up, Some ls, Some lp ->
+        Some (n, us.time_s /. up.time_s, ls.time_s /. lp.time_s)
+      | _ -> None)
+    batch_ns
 
 let print_batch (pool_domains, samples) =
   Printf.printf
@@ -324,41 +332,12 @@ let print_batch (pool_domains, samples) =
         ])
     samples;
   Wnet_stats.Table.print table;
-  let find bench n =
-    List.find_opt (fun s -> s.bench = bench && s.bn = n) samples
-  in
   print_newline ();
   List.iter
-    (fun n ->
-      match
-        ( find "unicast-batch/seq" n,
-          find "unicast-batch/par" n,
-          find "linkcost-batch/copy/seq" n,
-          find "linkcost-batch/zerocopy/seq" n,
-          find "linkcost-batch/zerocopy/par" n )
-      with
-      | Some us, Some up, Some lc, Some lz, Some lp ->
-        Printf.printf
-          "n=%4d  unicast par/seq speedup %.2fx | link-cost zero-copy/copy \
-           %.2fx (seq) | par vs copy baseline %.2fx\n"
-          n (us.time_s /. up.time_s) (lc.time_s /. lz.time_s)
-          (lc.time_s /. lp.time_s)
-      | _ -> ())
-    batch_ns;
-  List.iter
-    (fun n ->
-      match
-        ( find "unicast-batch/seq" n,
-          find "unicast-batch/boxed/seq" n,
-          find "linkcost-batch/zerocopy/seq" n,
-          find "linkcost-batch/boxed/seq" n )
-      with
-      | Some uc, Some ub, Some lc, Some lb ->
-        Printf.printf
-          "n=%4d  CSR kernels vs boxed (seq): unicast %.2fx | link-cost %.2fx\n"
-          n (ub.time_s /. uc.time_s) (lb.time_s /. lc.time_s)
-      | _ -> ())
-    batch_ns;
+    (fun (n, u, l) ->
+      Printf.printf
+        "n=%4d  par/seq speedup: unicast %.2fx | link-cost %.2fx\n" n u l)
+    (batch_speedups samples);
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -372,11 +351,9 @@ let print_batch (pool_domains, samples) =
      root-side shortest path moves, so only the shared tree reruns;
    - cost-change-critical: drift on a link the longest served path
      forwards on — the adversarial case; the nodes behind it change
-     distance in nearly every avoidance search.  The default session
-     patches those searches in place (dynamic SSSP repair, bounded
-     affected region); the `/recompute` twin runs the same toggle on a
-     `~dynamic:false` session — the PR 2 drop-everything path — so the
-     pair measures repair vs recompute directly;
+     distance in nearly every avoidance search, and the session patches
+     those searches in place (dynamic SSSP repair, bounded affected
+     region);
    - leave-rejoin: a non-relay node leaves and rejoins — typical churn;
      two single-edit recomputes per call.
 
@@ -465,8 +442,7 @@ let run_session ?previous () =
       | None -> ()
       | Some ((su, sv), (cu, cv), leaf) ->
         record "session/full-batch/seq" n (fun () ->
-            Wnet_core.Link_cost.all_to_root
-              ~strategy:Wnet_core.Link_cost.Zero_copy dg ~root:0);
+            Wnet_core.Link_cost.all_to_root dg ~root:0);
         let s = S.create dg ~root:0 in
         ignore (S.payments s);
         (* alternate between two weights so every repetition is a real
@@ -481,12 +457,6 @@ let run_session ?previous () =
         in
         record "session/cost-change/seq" n (toggle s su sv);
         record "session/cost-change-critical/seq" n (toggle s cu cv);
-        (* the same adversarial toggle with dynamic repair off: every
-           affected cache is dropped and rerun from scratch (the PR 2
-           baseline the repair path is gated against) *)
-        let s0 = S.create ~dynamic:false dg ~root:0 in
-        ignore (S.payments s0);
-        record "session/cost-change-critical/recompute" n (toggle s0 cu cv);
         (* churn round-trip: leave, payments; rejoin with the old links,
            payments — two single-edit recomputes per call *)
         let snap = S.snapshot s in
@@ -515,14 +485,10 @@ let run_session ?previous () =
    that fold against the pre-coalescing behaviour (an eager pass after
    every edit), on a session whose caches were populated by one
    payments run.  No payments call inside the timed region: the rows
-   isolate the invalidation-pass cost the coalescing removes.
-
-   The plain rows run `~dynamic:false` so they keep measuring the
-   keep-test pass they always measured; the `-repair` twins run the
-   default dynamic session, whose flush *eagerly repairs* the shared
-   tree and every fresh avoidance entry — dearer per flush, repaid at
-   the next payments (see the session rows), and folding k edits into
-   one repair instead of k is exactly what coalescing buys there. *)
+   isolate the per-flush cost the coalescing removes.  Each flush
+   eagerly repairs the shared tree and every fresh avoidance entry, so
+   folding k edits into one repair instead of k is what coalescing
+   buys. *)
 
 let server_burst = 16
 
@@ -564,10 +530,6 @@ let run_server ?previous () =
               S.flush s)
             chosen
         in
-        let s = S.create ~dynamic:false dg ~root:0 in
-        ignore (S.payments s);
-        record "server/coalesce-burst/seq" n (burst s (make_factor ()));
-        record "server/coalesce-eager/seq" n (eager s (make_factor ()));
         let sd = S.create dg ~root:0 in
         ignore (S.payments sd);
         record "server/coalesce-burst-repair/seq" n (burst sd (make_factor ()));
@@ -579,42 +541,32 @@ let run_server ?previous () =
 (* ------------------------------------------------------------------ *)
 (* Subtree-bounded avoidance kernel vs full-CSR sweeps (wnet-bench/10)  *)
 
-(* The `CsrBounded kernel copies exterior distances off the shared tree
-   and re-settles only the silenced relay's SPT subtree; the `Csr twin
-   answers the same cache misses with one full-graph Dijkstra per
-   relay.  Two workloads per n, both sequential so the kernel is the
-   only variable:
-
-   - cold-start: a fresh session's first [payments] call — every relay
-     is a cache miss (session construction is inside the timed region,
-     identically on both sides);
-   - cache-miss fill: the adversarial on-tree toggle on a
-     [~dynamic:false] session — every flush drops the affected
-     avoidance entries and the next [payments] refills them through
-     the kernel under test.
+(* The bounded kernel copies exterior distances off the shared tree and
+   re-settles only the silenced relay's SPT subtree.  The cold-start row
+   times a fresh session's first [payments] call, sequentially — every
+   relay is a cache miss (session construction is inside the timed
+   region).  The bounded-vs-full-sweep comparison lives in the
+   avoid-region micro suite (bench/micro/).
 
    A pooled bounded cold run per n rides along untimed to record the
-   work-stealing scheduler's behaviour over region tasks, and the
-   region-size histogram the drop-mode bounded session accumulated is
-   kept for the JSON file. *)
+   work-stealing scheduler's behaviour over region tasks. *)
 
 type avoid_result = {
   av_domains : int;
   av_samples : batch_sample list;
-  av_hists : (int * (int * int) list) list;
   av_tasks : int;
   av_stolen : int;
 }
 
 let empty_avoid =
-  { av_domains = 0; av_samples = []; av_hists = []; av_tasks = 0; av_stolen = 0 }
+  { av_domains = 0; av_samples = []; av_tasks = 0; av_stolen = 0 }
 
 let run_avoid ?previous () =
   let module S = Wnet_session.Link_session in
   Gc.compact ();
   let pool_domains = max 4 (Wnet_par.default_domains ()) in
   Wnet_par.with_pool ~domains:pool_domains (fun pool ->
-      let samples = ref [] and hists = ref [] in
+      let samples = ref [] in
       let tasks = ref 0 and stolen = ref 0 in
       let record bench bn domains f =
         let time_s, runs =
@@ -625,71 +577,29 @@ let run_avoid ?previous () =
       List.iter
         (fun n ->
           let dg = digraph_instance 9 ~n in
-          match session_targets dg with
-          | None -> ()
-          | Some (_, (cu, cv), _) ->
-            record "avoid/cold-start/bounded" n 1 (fun () ->
-                let s = S.create dg ~root:0 in
-                S.payments s);
-            record "avoid/cold-start/full" n 1 (fun () ->
-                let s = S.create ~kernel:`Csr dg ~root:0 in
-                S.payments s);
-            (* the same alternating toggle the session suite uses, so
-               every repetition nets one real edit and one refill *)
-            let fill s =
-              let w0 = S.cost s cu cv in
-              let w1 = w0 *. 1.05 in
-              fun () ->
-                let w = if Float.equal (S.cost s cu cv) w0 then w1 else w0 in
-                S.set_cost s cu cv w;
-                S.payments s
-            in
-            let sb = S.create ~dynamic:false dg ~root:0 in
-            ignore (S.payments sb);
-            let sf = S.create ~dynamic:false ~kernel:`Csr dg ~root:0 in
-            ignore (S.payments sf);
-            record "avoid/fill/bounded" n 1 (fill sb);
-            record "avoid/fill/full" n 1 (fill sf);
-            hists := (n, S.region_histogram sb) :: !hists;
-            (* pooled bounded cold run, once, for the steal telemetry *)
-            let sp = S.create ~pool dg ~root:0 in
-            ignore (S.payments sp);
-            let st = S.stats sp in
-            tasks := !tasks + st.S.tasks_executed;
-            stolen := !stolen + st.S.tasks_stolen)
+          record "avoid/cold-start/bounded" n 1 (fun () ->
+              let s = S.create dg ~root:0 in
+              S.payments s);
+          (* pooled bounded cold run, once, for the steal telemetry *)
+          let sp = S.create ~pool dg ~root:0 in
+          ignore (S.payments sp);
+          let st = S.stats sp in
+          tasks := !tasks + st.S.tasks_executed;
+          stolen := !stolen + st.S.tasks_stolen)
         batch_ns;
       {
         av_domains = pool_domains;
         av_samples = List.rev !samples;
-        av_hists = List.rev !hists;
         av_tasks = !tasks;
         av_stolen = !stolen;
       })
-
-let avoid_speedups samples =
-  let find bench n =
-    List.find_opt (fun s -> s.bench = bench && s.bn = n) samples
-  in
-  List.filter_map
-    (fun n ->
-      match
-        ( find "avoid/cold-start/bounded" n,
-          find "avoid/cold-start/full" n,
-          find "avoid/fill/bounded" n,
-          find "avoid/fill/full" n )
-      with
-      | Some cb, Some cf, Some fb, Some ff ->
-        Some (n, cf.time_s /. cb.time_s, ff.time_s /. fb.time_s)
-      | _ -> None)
-    batch_ns
 
 let avoid_steal_ratio r =
   if r.av_tasks = 0 then 0.0
   else float_of_int r.av_stolen /. float_of_int r.av_tasks
 
 let print_avoid r =
-  print_endline
-    "== Subtree-bounded avoidance kernel vs full-CSR (sequential) ==";
+  print_endline "== Subtree-bounded avoidance kernel, cold start ==";
   let table =
     Wnet_stats.Table.make ~headers:[ "benchmark"; "n"; "domains"; "time"; "runs" ]
   in
@@ -707,22 +617,9 @@ let print_avoid r =
     r.av_samples;
   Wnet_stats.Table.print table;
   print_newline ();
-  List.iter
-    (fun (n, cold, fill) ->
-      Printf.printf
-        "n=%4d  bounded vs full-CSR: cold start %.2fx | cache-miss fill %.2fx\n"
-        n cold fill)
-    (avoid_speedups r.av_samples);
   Printf.printf
     "pooled bounded cold runs: tasks=%d stolen=%d steal ratio %.3f (%d domains)\n"
     r.av_tasks r.av_stolen (avoid_steal_ratio r) r.av_domains;
-  List.iter
-    (fun (n, hist) ->
-      let total = List.fold_left (fun a (_, c) -> a + c) 0 hist in
-      Printf.printf "n=%4d  region sizes over %d bounded fills: %s\n" n total
-        (String.concat " "
-           (List.map (fun (lo, c) -> Printf.sprintf ">=%d:%d" lo c) hist)))
-    r.av_hists;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -1223,27 +1120,25 @@ let print_dsim r =
     r.ds_convergence;
   print_newline ()
 
-let server_speedups_of ~suffix samples =
+let server_speedups samples =
   let find bench n =
     List.find_opt (fun s -> s.bench = bench && s.bn = n) samples
   in
   List.filter_map
     (fun n ->
       match
-        ( find ("server/coalesce-burst" ^ suffix ^ "/seq") n,
-          find ("server/coalesce-eager" ^ suffix ^ "/seq") n )
+        ( find "server/coalesce-burst-repair/seq" n,
+          find "server/coalesce-eager-repair/seq" n )
       with
       | Some burst, Some eager when burst.time_s > 0.0 ->
         Some (n, eager.time_s /. burst.time_s)
       | _ -> None)
     batch_ns
 
-let server_speedups samples = server_speedups_of ~suffix:"" samples
-
 let print_server samples =
   Printf.printf
-    "== Server delta coalescing (%d-edit burst: one folded invalidation \
-     pass vs a pass per edit) ==\n"
+    "== Server delta coalescing (%d-edit burst: one folded repair pass vs \
+     a pass per edit) ==\n"
     server_burst;
   let table =
     Wnet_stats.Table.make ~headers:[ "workload"; "n"; "time"; "runs" ]
@@ -1265,11 +1160,6 @@ let print_server samples =
     (fun (n, x) ->
       Printf.printf "n=%4d  coalesced burst vs eager flushes: %.2fx\n" n x)
     (server_speedups samples);
-  List.iter
-    (fun (n, x) ->
-      Printf.printf
-        "n=%4d  coalesced burst vs eager flushes (dynamic repair): %.2fx\n" n x)
-    (server_speedups_of ~suffix:"-repair" samples);
   print_newline ()
 
 let session_speedups samples =
@@ -1289,23 +1179,6 @@ let session_speedups samples =
           ( n,
             batch.time_s /. cc.time_s,
             2.0 *. batch.time_s /. lr.time_s )
-      | _ -> None)
-    batch_ns
-
-(* Repair vs recompute on the adversarial on-tree toggle: the same edit
-   on the same instance, dynamic patching vs drop-everything. *)
-let repair_speedups samples =
-  let find bench n =
-    List.find_opt (fun s -> s.bench = bench && s.bn = n) samples
-  in
-  List.filter_map
-    (fun n ->
-      match
-        ( find "session/cost-change-critical/recompute" n,
-          find "session/cost-change-critical/seq" n )
-      with
-      | Some recompute, Some repair when repair.time_s > 0.0 ->
-        Some (n, recompute.time_s /. repair.time_s)
       | _ -> None)
     batch_ns
 
@@ -1335,10 +1208,6 @@ let print_session (samples, hists) =
         "n=%4d  incremental vs batch: cost change %.2fx | leave/rejoin %.2fx\n"
         n cc lr)
     (session_speedups samples);
-  List.iter
-    (fun (n, x) ->
-      Printf.printf "n=%4d  on-tree edit, repair vs recompute: %.2fx\n" n x)
-    (repair_speedups samples);
   print_newline ();
   List.iter
     (fun (n, hist) ->
@@ -1384,7 +1253,7 @@ let write_json ~canary ~micro ~microprims ~session ~hists ~server ~avoid
   in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"wnet-bench/10\",\n";
+  Buffer.add_string b "  \"schema\": \"wnet-bench/11\",\n";
   Buffer.add_string b (Printf.sprintf "  \"generated_at\": \"%s\",\n" iso);
   Buffer.add_string b
     (Printf.sprintf "  \"ocaml\": \"%s\",\n" (json_escape Sys.ocaml_version));
@@ -1405,59 +1274,17 @@ let write_json ~canary ~micro ~microprims ~session ~hists ~server ~avoid
            (if i = List.length samples - 1 then "" else ",")))
     samples;
   Buffer.add_string b "  ],\n";
-  let find bench n =
-    List.find_opt (fun s -> s.bench = bench && s.bn = n) samples
-  in
   Buffer.add_string b "  \"speedups\": [\n";
   let speedup_rows =
-    List.filter_map
-      (fun n ->
-        match
-          ( find "unicast-batch/seq" n,
-            find "unicast-batch/par" n,
-            find "linkcost-batch/copy/seq" n,
-            find "linkcost-batch/zerocopy/seq" n,
-            find "linkcost-batch/zerocopy/par" n )
-        with
-        | Some us, Some up, Some lc, Some lz, Some lp ->
-          Some
-            (Printf.sprintf
-               "    {\"n\": %d, \"unicast_par_vs_seq\": %s, \
-                \"linkcost_zerocopy_vs_copy_seq\": %s, \
-                \"linkcost_par_vs_copy_seq\": %s}"
-               n
-               (json_float (us.time_s /. up.time_s))
-               (json_float (lc.time_s /. lz.time_s))
-               (json_float (lc.time_s /. lp.time_s)))
-        | _ -> None)
-      batch_ns
+    List.map
+      (fun (n, u, l) ->
+        Printf.sprintf
+          "    {\"n\": %d, \"unicast_par_vs_seq\": %s, \
+           \"linkcost_par_vs_seq\": %s}"
+          n (json_float u) (json_float l))
+      (batch_speedups samples)
   in
   Buffer.add_string b (String.concat ",\n" speedup_rows);
-  Buffer.add_string b "\n  ],\n";
-  (* wnet-bench/9: flat-CSR kernels vs the boxed-adjacency oracle, both
-     sequential and zero-copy, so the only variable is the kernel. *)
-  Buffer.add_string b "  \"csr_speedups\": [\n";
-  let csr_rows =
-    List.filter_map
-      (fun n ->
-        match
-          ( find "unicast-batch/seq" n,
-            find "unicast-batch/boxed/seq" n,
-            find "linkcost-batch/zerocopy/seq" n,
-            find "linkcost-batch/boxed/seq" n )
-        with
-        | Some uc, Some ub, Some lc, Some lb ->
-          Some
-            (Printf.sprintf
-               "    {\"n\": %d, \"unicast_csr_vs_boxed_seq\": %s, \
-                \"linkcost_csr_vs_boxed_seq\": %s}"
-               n
-               (json_float (ub.time_s /. uc.time_s))
-               (json_float (lb.time_s /. lc.time_s)))
-        | _ -> None)
-      batch_ns
-  in
-  Buffer.add_string b (String.concat ",\n" csr_rows);
   Buffer.add_string b "\n  ],\n";
   Buffer.add_string b "  \"session\": [\n";
   List.iteri
@@ -1482,21 +1309,9 @@ let write_json ~canary ~micro ~microprims ~session ~hists ~server ~avoid
   in
   Buffer.add_string b (String.concat ",\n" session_rows);
   Buffer.add_string b "\n  ],\n";
-  (* wnet-bench/4: dynamic-SSSP repair vs drop-everything recompute on
-     the adversarial on-tree toggle, plus the affected-region size
-     histogram the repairs produced (log2 classes: ge = class lower
-     bound, 0 = nothing to patch). *)
+  (* The affected-region size histogram of the session suite's repairs
+     (log2 classes: ge = class lower bound, 0 = nothing to patch). *)
   Buffer.add_string b "  \"repair\": {\n";
-  Buffer.add_string b "    \"speedups\": [\n";
-  let repair_rows =
-    List.map
-      (fun (n, x) ->
-        Printf.sprintf "      {\"n\": %d, \"repair_vs_recompute\": %s}" n
-          (json_float x))
-      (repair_speedups session)
-  in
-  Buffer.add_string b (String.concat ",\n" repair_rows);
-  Buffer.add_string b "\n    ],\n";
   Buffer.add_string b "    \"region_histogram\": [\n";
   let hist_rows =
     List.map
@@ -1513,12 +1328,9 @@ let write_json ~canary ~micro ~microprims ~session ~hists ~server ~avoid
   Buffer.add_string b (String.concat ",\n" hist_rows);
   Buffer.add_string b "\n    ]\n";
   Buffer.add_string b "  },\n";
-  (* wnet-bench/10: the subtree-bounded avoidance kernel vs the
-     full-CSR oracle on cold starts and cache-miss fills ("rows" use
-     the headline object shape so the 20% gate covers them), the steal
-     telemetry of the pooled bounded cold runs, and the region-size
-     histogram of every bounded fill (same log2 classes as the repair
-     histogram). *)
+  (* The subtree-bounded avoidance kernel's cold starts ("rows" use the
+     headline object shape so the 20% gate covers them) and the steal
+     telemetry of the pooled bounded cold runs. *)
   Buffer.add_string b "  \"avoid\": {\n";
   Buffer.add_string b
     (Printf.sprintf "    \"pool_domains\": %d,\n" avoid.av_domains);
@@ -1539,34 +1351,7 @@ let write_json ~canary ~micro ~microprims ~session ~hists ~server ~avoid
            (json_escape s.bench) s.bn s.domains (json_float s.time_s) s.runs
            (if i = List.length avoid.av_samples - 1 then "" else ",")))
     avoid.av_samples;
-  Buffer.add_string b "    ],\n";
-  Buffer.add_string b "    \"speedups\": [\n";
-  let avoid_rows =
-    List.map
-      (fun (n, cold, fill) ->
-        Printf.sprintf
-          "      {\"n\": %d, \"cold_bounded_vs_full\": %s, \
-           \"fill_bounded_vs_full\": %s}"
-          n (json_float cold) (json_float fill))
-      (avoid_speedups avoid.av_samples)
-  in
-  Buffer.add_string b (String.concat ",\n" avoid_rows);
-  Buffer.add_string b "\n    ],\n";
-  Buffer.add_string b "    \"region_hist\": [\n";
-  let avoid_hist_rows =
-    List.map
-      (fun (n, hist) ->
-        let buckets =
-          List.map
-            (fun (lo, c) -> Printf.sprintf "{\"ge\": %d, \"count\": %d}" lo c)
-            hist
-        in
-        Printf.sprintf "      {\"n\": %d, \"buckets\": [%s]}" n
-          (String.concat ", " buckets))
-      avoid.av_hists
-  in
-  Buffer.add_string b (String.concat ",\n" avoid_hist_rows);
-  Buffer.add_string b "\n    ]\n";
+  Buffer.add_string b "    ]\n";
   Buffer.add_string b "  },\n";
   Buffer.add_string b "  \"server\": [\n";
   List.iteri
@@ -1581,18 +1366,10 @@ let write_json ~canary ~micro ~microprims ~session ~hists ~server ~avoid
   Buffer.add_string b "  ],\n";
   Buffer.add_string b "  \"server_speedups\": [\n";
   let server_rows =
-    let rep = server_speedups_of ~suffix:"-repair" server in
     List.map
       (fun (n, x) ->
-        match List.assoc_opt n rep with
-        | Some y ->
-          Printf.sprintf
-            "    {\"n\": %d, \"burst_vs_eager\": %s, \
-             \"burst_vs_eager_repair\": %s}"
-            n (json_float x) (json_float y)
-        | None ->
-          Printf.sprintf "    {\"n\": %d, \"burst_vs_eager\": %s}" n
-            (json_float x))
+        Printf.sprintf "    {\"n\": %d, \"burst_vs_eager_repair\": %s}" n
+          (json_float x))
       (server_speedups server)
   in
   Buffer.add_string b (String.concat ",\n" server_rows);

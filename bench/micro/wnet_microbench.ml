@@ -335,8 +335,7 @@ let bench_graph ~n ~seed =
 
 (* Full single-source runs: the CSR scratch kernels must be exactly
    zero-allocation (ban-mask bytes, key-only pops, result left in the
-   scratch); the boxed closure oracles allocate their result array and
-   per-run closure, and are benched alongside for the ns/op contrast. *)
+   scratch). *)
 let dijkstra () =
   let n = 256 in
   let dg = bench_digraph ~n ~seed:11 in
@@ -358,17 +357,6 @@ let dijkstra () =
           done);
     };
     {
-      name = Printf.sprintf "boxed/link-dist/n=%d" n;
-      ops = reps;
-      alloc_free = false (* copies the result array out of the scratch *);
-      run =
-        (fun () ->
-          for _ = 1 to reps do
-            ignore
-              (Sys.opaque_identity (Wnet_graph.Dijkstra.link_weighted_dist s dg 0))
-          done);
-    };
-    {
       name = Printf.sprintf "csr/node-scratch/n=%d" n;
       ops = reps;
       alloc_free = true;
@@ -380,25 +368,12 @@ let dijkstra () =
                  (Wnet_graph.Dijkstra.node_weighted_scratch s ng ~source:0))
           done);
     };
-    {
-      name = Printf.sprintf "boxed/node-dist/n=%d" n;
-      ops = reps;
-      alloc_free = false;
-      run =
-        (fun () ->
-          for _ = 1 to reps do
-            ignore
-              (Sys.opaque_identity
-                 (Wnet_graph.Dijkstra.node_weighted_dist s ng ~source:0))
-          done);
-    };
   ]
 
 (* ---------------- avoidance sweeps ---------------- *)
 
-(* The payments hot loop: one forbidden-node Dijkstra per relay.  The
-   CSR sweep sets one ban byte per run and clears it after; the boxed
-   sweep builds the [fun v -> v = k] closure the old path used. *)
+(* The payments fallback loop: one forbidden-node Dijkstra per relay.
+   The CSR sweep sets one ban byte per run and clears it after. *)
 let avoid () =
   let n = 256 in
   let dg = bench_digraph ~n ~seed:13 in
@@ -418,20 +393,6 @@ let avoid () =
             ignore
               (Sys.opaque_identity (Wnet_graph.Dijkstra.link_weighted_scratch s dg 0));
             Bytes.set ban k '\000'
-          done);
-    };
-    {
-      name = Printf.sprintf "boxed/closure-sweep/n=%d" n;
-      ops = reps;
-      alloc_free = false (* per-relay closure + result array *);
-      run =
-        (fun () ->
-          for k = 1 to reps do
-            ignore
-              (Sys.opaque_identity
-                 (Wnet_graph.Dijkstra.link_weighted_dist s
-                    ~forbidden:(fun v -> v = k)
-                    dg 0))
           done);
     };
   ]

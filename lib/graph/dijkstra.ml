@@ -76,12 +76,12 @@ let link_weighted ?(forbidden = never) g source =
    logs each node it touches and the next run resets exactly those
    entries, so the hot relaxation loop reads and writes a single plain
    array (no epoch indirection) while repeated runs neither reallocate
-   nor re-fill n-sized buffers.  The [*_dist] runs below also skip
+   nor re-fill n-sized buffers.  The scratch runs below also skip
    parent bookkeeping entirely — avoidance runs never walk paths.
 
-   The ban mask replaces the closure-typed [?forbidden] predicate on the
-   CSR paths: one byte per node, consulted with an unsafe load instead
-   of an indirect call (and no closure to allocate per run).  It is the
+   The ban mask stands in for the tree solvers' [?forbidden] predicate:
+   one byte per node, consulted with an unsafe load instead of an
+   indirect call (and no closure to allocate per run).  It is the
    caller's steady-state: set the bytes you need, run, clear them.
 
    A scratch is single-owner state: one concurrent run per scratch (each
@@ -123,82 +123,11 @@ let begin_run s n =
   done;
   s.n_touched <- 0
 
-(* The boxed closure-predicate runs.  Retained verbatim over the boxed
-   adjacency as the differential oracle for the CSR kernels below (the
-   same role [Copy_graph] plays for the zero-copy batch): the qcheck
-   suites hold the pairs to [Float.equal]-identical outputs. *)
-
-let node_weighted_dist scratch ?(forbidden = never) g ~source =
-  let n = Graph.n g in
-  if source < 0 || source >= n then invalid_arg "Dijkstra: source out of range";
-  if forbidden source then invalid_arg "Dijkstra: source is forbidden";
-  begin_run scratch n;
-  let heap = scratch.sheap in
-  let dist = scratch.sdist in
-  dist.(source) <- 0.0;
-  scratch.touched.(scratch.n_touched) <- source;
-  scratch.n_touched <- scratch.n_touched + 1;
-  Indexed_heap.insert heap source 0.0;
-  while not (Indexed_heap.is_empty heap) do
-    let u, du = Indexed_heap.pop_min heap in
-    if du <= dist.(u) then begin
-      let leave = if u = source then 0.0 else Graph.cost g u in
-      Array.iter
-        (fun w ->
-          if not (forbidden w) then begin
-            let cand = du +. leave in
-            let dw = dist.(w) in
-            if cand < dw then begin
-              if dw = infinity then begin
-                scratch.touched.(scratch.n_touched) <- w;
-                scratch.n_touched <- scratch.n_touched + 1
-              end;
-              dist.(w) <- cand;
-              Indexed_heap.insert_or_decrease heap w cand
-            end
-          end)
-        (Graph.neighbors g u)
-    end
-  done;
-  Array.sub dist 0 n
-
-let link_weighted_dist scratch ?(forbidden = never) g source =
-  let n = Digraph.n g in
-  if source < 0 || source >= n then invalid_arg "Dijkstra: source out of range";
-  if forbidden source then invalid_arg "Dijkstra: source is forbidden";
-  begin_run scratch n;
-  let heap = scratch.sheap in
-  let dist = scratch.sdist in
-  dist.(source) <- 0.0;
-  scratch.touched.(scratch.n_touched) <- source;
-  scratch.n_touched <- scratch.n_touched + 1;
-  Indexed_heap.insert heap source 0.0;
-  while not (Indexed_heap.is_empty heap) do
-    let u, du = Indexed_heap.pop_min heap in
-    if du <= dist.(u) then
-      Array.iter
-        (fun (w, weight) ->
-          if not (forbidden w) then begin
-            let cand = du +. weight in
-            let dw = dist.(w) in
-            if cand < dw then begin
-              if dw = infinity then begin
-                scratch.touched.(scratch.n_touched) <- w;
-                scratch.n_touched <- scratch.n_touched + 1
-              end;
-              dist.(w) <- cand;
-              Indexed_heap.insert_or_decrease heap w cand
-            end
-          end)
-        (Digraph.out_links g u)
-  done;
-  Array.sub dist 0 n
-
 (* The CSR scratch kernels: flat rows, ban-mask bytes, key-only pops,
    results left in the scratch — zero steady-state allocation (the
-   micro suite hard-asserts it).  Relaxation order matches the boxed
-   runs link for link (CSR rows preserve the sorted boxed rows), so
-   distances are bit-identical. *)
+   micro suite hard-asserts it).  The test suite holds them to
+   [Float.equal] against a boxed forbidden-node Dijkstra over
+   [Digraph.out_links] / [Graph.neighbors] (test/oracle.ml). *)
 
 let node_weighted_scratch scratch g ~source =
   let n = Graph.n g in

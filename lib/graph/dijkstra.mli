@@ -31,7 +31,7 @@ val link_weighted : ?forbidden:(int -> bool) -> Digraph.t -> int -> tree
 
 type scratch
 (** A reusable single-owner workspace (dist array, heap, touched-node
-    log) for distance-only runs.  Each run logs the nodes it reaches and
+    log, ban mask) for distance-only runs.  Each run logs the nodes it reaches and
     the next run resets exactly those entries, so repeated runs — the
     per-relay avoidance Dijkstras of batch payment computation —
     allocate nothing but their result array and never re-fill n-sized
@@ -43,28 +43,13 @@ val make_scratch : int -> scratch
 
 val scratch_capacity : scratch -> int
 
-val node_weighted_dist :
-  scratch -> ?forbidden:(int -> bool) -> Graph.t -> source:int -> float array
-(** [node_weighted_dist scratch g ~source] is
-    [(node_weighted g ~source).dist] — bit-identical — computed through
-    [scratch] with no parent bookkeeping.  The returned array is fresh;
-    the scratch may be reused immediately.
-    @raise Invalid_argument if the graph exceeds the scratch capacity,
-    or as {!node_weighted}. *)
-
-val link_weighted_dist :
-  scratch -> ?forbidden:(int -> bool) -> Digraph.t -> int -> float array
-(** [link_weighted_dist scratch g source] is
-    [(link_weighted g source).dist], likewise. *)
-
 (** {1 CSR kernels}
 
     The zero-allocation runs: flat {!Digraph.csr} / {!Graph.csr} rows, a
     byte-per-node ban mask in place of the [?forbidden] closure, and the
-    result left {e in} the scratch.  Relaxation order matches the boxed
-    runs above link for link, so distances are [Float.equal]-identical;
-    the boxed closure runs are retained unchanged as the differential
-    oracle. *)
+    result left {e in} the scratch.  Distances are [Float.equal]-identical
+    to the tree solvers' [dist]; the test suite checks them against a
+    boxed forbidden-node oracle ([test/oracle.ml]). *)
 
 val ban_mask : scratch -> Bytes.t
 (** The scratch's ban mask, one byte per node: ['\000'] allowed,
@@ -75,8 +60,8 @@ val ban_mask : scratch -> Bytes.t
 
 val node_weighted_scratch : scratch -> Graph.t -> source:int -> float array
 (** [node_weighted_scratch scratch g ~source] is
-    [node_weighted_dist scratch g ~source] with the ban mask standing in
-    for [?forbidden], except the returned array is the scratch's
+    [(node_weighted g ~source).dist] with the ban mask standing in for
+    [?forbidden], except the returned array is the scratch's
     {e internal} distance array (length [scratch_capacity], entries
     beyond [Graph.n g] are [infinity]): read what you need before the
     next run on the same scratch overwrites it, and never mutate it.
@@ -93,8 +78,8 @@ val node_weighted_dist_csr :
 (** [node_weighted_dist_csr scratch ~avoid g ~source] runs the CSR
     kernel with only [avoid] banned (in addition to any bytes the caller
     already set) and returns a {e fresh} copy of the first [Graph.n g]
-    distances — the drop-in CSR counterpart of
-    [node_weighted_dist scratch ~forbidden:(fun v -> v = avoid)]. *)
+    distances — [(node_weighted ~forbidden:(fun v -> v = avoid) g
+    ~source).dist], computed through [scratch]. *)
 
 val link_weighted_dist_csr :
   scratch -> ?avoid:int -> Digraph.t -> int -> float array

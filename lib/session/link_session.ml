@@ -29,44 +29,21 @@ type stats = {
   avoid_fallback : int;
 }
 
-(* Region-size histogram: bucket 0 holds empty regions, bucket [i >= 1]
-   holds sizes in [2^(i-1), 2^i). *)
-let hist_buckets = 24
-
-let hist_bucket r =
-  if r <= 0 then 0
-  else begin
-    let b = ref 1 and x = ref r in
-    while !x > 1 do
-      incr b;
-      x := !x lsr 1
-    done;
-    min !b (hist_buckets - 1)
-  end
+module C = Engine_common
 
 type t = {
   root : int;
   pool : Wnet_par.t;
-  dynamic : bool;
-  kernel : [ `CsrBounded | `Csr | `Boxed ];
-      (* which avoidance Dijkstra fills cache misses: the
-         subtree-bounded region kernel over the shared SPT (default,
-         falls back to full CSR on budget overflow), the flat CSR
-         ban-mask kernel, or the boxed closure oracle.  All three
-         produce bit-identical distances; [`Csr]/[`Boxed] exist for
-         differential testing and benchmarking. *)
   g : Digraph.t;  (* forward topology, mutated in place *)
   rev : Digraph.t;  (* reversed mirror, kept in lockstep *)
   mutable dyn : Dynamic_sssp.t option;
-      (* dynamic mode: the shared SPT over [rev] as a patched structure;
-         exact for the current graph whenever the pending burst is empty *)
-  mutable tree : Dijkstra.tree option;  (* drop mode: live-or-die SPT *)
+      (* the shared SPT over [rev] as a patched structure; exact for the
+         current graph whenever the pending burst is empty *)
   mutable tree_version : int;
   mutable avoid : float array option array;
-      (* avoid.(k): root-side distances over [rev] with k forbidden.  In
-         drop mode an entry is either exact for the current graph or
-         [None].  In dynamic mode entries carry per-entry epochs: exact
-         iff [avoid_epoch.(k) = cache_epoch]; stale entries are kept but
+      (* avoid.(k): root-side distances over [rev] with k forbidden.
+         Entries carry per-entry epochs: exact iff
+         [avoid_epoch.(k) = cache_epoch]; stale entries are kept but
          never read (they are rebuilt from scratch on demand). *)
   mutable avoid_epoch : int array;
   mutable cache_epoch : int;  (* bumped once per invalidation pass *)
@@ -88,27 +65,22 @@ type t = {
   mutable avoid_reused : int;
   mutable repaired_entries : int;
   mutable fallback_recomputes : int;
-  mutable tasks_executed : int;
-  mutable tasks_stolen : int;
+  tasks : C.tasks;
   mutable avoid_bounded : int;
   mutable avoid_fallback : int;
   region_hist : int array;
 }
 
-let create ?(pool = Wnet_par.sequential) ?(copy = true) ?(dynamic = true)
-    ?(kernel = `CsrBounded) g ~root =
+let create ?(pool = Wnet_par.sequential) ?(copy = true) g ~root =
   let n = Digraph.n g in
   if root < 0 || root >= n then invalid_arg "Link_session.create: root out of range";
   let g = if copy then Digraph.copy g else g in
   {
     root;
     pool;
-    dynamic;
-    kernel;
     g;
     rev = Digraph.reverse g;
     dyn = None;
-    tree = None;
     tree_version = -1;
     avoid = Array.make n None;
     avoid_epoch = Array.make n (-1);
@@ -131,11 +103,10 @@ let create ?(pool = Wnet_par.sequential) ?(copy = true) ?(dynamic = true)
     avoid_reused = 0;
     repaired_entries = 0;
     fallback_recomputes = 0;
-    tasks_executed = 0;
-    tasks_stolen = 0;
+    tasks = C.make_tasks ();
     avoid_bounded = 0;
     avoid_fallback = 0;
-    region_hist = Array.make hist_buckets 0;
+    region_hist = C.make_hist ();
   }
 
 let n t = Digraph.n t.g
@@ -149,77 +120,33 @@ let stats t =
     avoid_runs = t.avoid_runs; avoid_reused = t.avoid_reused;
     repaired_entries = t.repaired_entries;
     fallback_recomputes = t.fallback_recomputes;
-    tasks_executed = t.tasks_executed; tasks_stolen = t.tasks_stolen;
+    tasks_executed = t.tasks.C.executed; tasks_stolen = t.tasks.C.stolen;
     avoid_bounded = t.avoid_bounded; avoid_fallback = t.avoid_fallback }
 let unbounded_relays t = t.unbounded
-
-(* Fan [f] out over the pool's work-stealing layer (one task per
-   element, idle domains backfill) and fold the scheduler's counter
-   deltas into the session ledger.  Calls never overlap on a session's
-   pool, so the before/after delta is exactly this call's tasks. *)
-let steal_map t ~states f a =
-  let before = Wnet_par.stats t.pool in
-  let r = Wnet_par.map_array_stealing_pooled t.pool ~states f a in
-  let after = Wnet_par.stats t.pool in
-  t.tasks_executed <-
-    t.tasks_executed + after.Wnet_par.tasks_executed
-    - before.Wnet_par.tasks_executed;
-  t.tasks_stolen <-
-    t.tasks_stolen + after.Wnet_par.tasks_stolen - before.Wnet_par.tasks_stolen;
-  r
-
-let region_histogram t =
-  let out = ref [] in
-  for b = hist_buckets - 1 downto 0 do
-    if t.region_hist.(b) > 0 then
-      let lo = if b = 0 then 0 else 1 lsl (b - 1) in
-      out := (lo, t.region_hist.(b)) :: !out
-  done;
-  !out
-
-let record_region t r =
-  t.region_hist.(hist_bucket r) <- t.region_hist.(hist_bucket r) + 1
+let steal_map t ~states f a = C.steal_map t.pool t.tasks ~states f a
+let region_histogram t = C.region_histogram t.region_hist
+let record_region t r = C.record_region t.region_hist r
 
 (* ------------------------------------------------------------------ *)
 (* Cache maintenance.
 
    Every cached array [d = avoid.(j)] is the distance-from-root array of
-   a Dijkstra over [rev] with [j] forbidden.  Dynamic mode hands the
-   burst's net link changes to {!Dynamic_sssp}, which patches each entry
-   in place (and the shared SPT, parents included) so it stays
-   bit-for-bit what a from-scratch run would produce; entries whose
-   affected region exceeds the budget go stale and are rebuilt from
-   scratch at the next {!payments}.  Drop mode (the PR 2/3 baseline,
-   [~dynamic:false]) instead tests each entry with a slack scan and
-   drops it whole on any possible contact:
-
-   - for a rev-link [v -> u] whose weight drops to [w1], no distance
-     changes iff the new relaxation does not improve [u]:
-     [d.(u) <= d.(v) +. w1];
-   - for one whose weight rises from [w0], no distance changes iff the
-     link was strictly slack: [d.(u) < d.(v) +. w0] (a tie might have
-     been realised through the link, so ties invalidate);
-   - links incident to the forbidden node [j], or leaving an unreachable
-     tail ([d.(v) = infinity]), are invisible to the search.
-
-   Both modes mirror the float arithmetic of the relaxation itself
-   ([d.(v) +. w]), so "unchanged" means bit-for-bit: the qcheck suite
-   holds them to [Float.equal] against a from-scratch oracle. *)
+   a Dijkstra over [rev] with [j] forbidden.  Each burst's net link
+   changes go to {!Dynamic_sssp}, which patches each entry in place (and
+   the shared SPT, parents included) so it stays bit-for-bit what a
+   from-scratch run would produce; entries whose affected region
+   exceeds the budget go stale and are rebuilt from scratch at the next
+   {!payments}.  The qcheck suite holds the result to [Float.equal]
+   against the from-scratch oracle in test/oracle.ml. *)
 
 let mark_edit t =
   t.edits <- t.edits + 1;
   t.last <- None
 
-(* The rev-link [v -> u] changed from [w0] to [w1]; does [d] survive? *)
-let link_edit_keeps d ~v ~u ~w0 ~w1 =
-  let dv = d.(v) in
-  dv = infinity
-  || (if w1 < w0 then d.(u) <= dv +. w1 else d.(u) < dv +. w0)
-
-(* Dynamic mode: patch the shared SPT after a burst of net rev-graph
-   edits.  A fallback (oversized region, or a bit-equal tie that could
-   flip a parent under from-scratch settlement order) costs one full
-   Dijkstra, same as drop mode's every on-tree edit. *)
+(* Patch the shared SPT after a burst of net rev-graph edits.  A
+   fallback (oversized region, or a bit-equal tie that could flip a
+   parent under from-scratch settlement order) costs one full
+   Dijkstra. *)
 let repair_spt t redits =
   match t.dyn with
   | None -> ()  (* not built yet; the first payments call runs it fresh *)
@@ -233,8 +160,8 @@ let repair_spt t redits =
       t.fallback_recomputes <- t.fallback_recomputes + 1);
     t.tree_version <- version t
 
-(* Dynamic mode: patch every currently-exact avoidance entry, fanned out
-   over the pool (disjoint entries, one repair scratch per slot).  An
+(* Patch every currently-exact avoidance entry, fanned out over the
+   pool (disjoint entries, one repair scratch per slot).  An
    [`Overflow] leaves the entry corrupted, so it is dropped and counted
    as a fallback; everything else moves to the new epoch. *)
 let repair_avoid_entries t redits =
@@ -275,16 +202,11 @@ let repair_avoid_entries t redits =
       end)
     fresh
 
-(* Cost edits mutate the graph eagerly but defer the cache scan: the
+(* Cost edits mutate the graph eagerly but defer the cache repair: the
    burst of edits accumulated since the last flush is folded into ONE
-   pass over the avoidance array, each cache maintained against every
-   *net* link change (first-recorded old weight vs. current weight).
-   Folding to the net change is sound — and strictly keeps more caches
-   than per-edit passes: a kept drop means the new weight improves
-   nobody ([d.(u) <= d.(v) +. w1], so [d] stays a feasible potential), a
-   kept rise means the link was strictly slack at the old weight (so no
-   shortest path, not even a tie, ran through it), and an edit reverted
-   within the burst vanishes entirely. *)
+   pass over the avoidance array, each cache repaired against every
+   *net* link change (first-recorded old weight vs. current weight), so
+   an edit reverted within the burst vanishes entirely. *)
 let flush t =
   if t.pending_edits > 0 then begin
     let net =
@@ -301,32 +223,14 @@ let flush t =
     t.pending_edits <- 0;
     if net <> [] then begin
       t.inval_passes <- t.inval_passes + 1;
-      if t.dynamic then begin
-        (* the forward link u -> v is the rev-link v -> u *)
-        let redits =
-          List.rev_map
-            (fun (u, v, w0, w1) -> { Dynamic_sssp.u = v; v = u; w0; w1 })
-            net
-        in
-        repair_spt t redits;
-        repair_avoid_entries t redits
-      end
-      else
-        Array.iteri
-          (fun j entry ->
-            match entry with
-            | Some d ->
-              if
-                not
-                  (List.for_all
-                     (fun (u, v, w0, w1) ->
-                       (* links incident to the forbidden node j are
-                          invisible to that search *)
-                       j = u || j = v || link_edit_keeps d ~v ~u ~w0 ~w1)
-                     net)
-              then t.avoid.(j) <- None
-            | None -> ())
-          t.avoid
+      (* the forward link u -> v is the rev-link v -> u *)
+      let redits =
+        List.rev_map
+          (fun (u, v, w0, w1) -> { Dynamic_sssp.u = v; v = u; w0; w1 })
+          net
+      in
+      repair_spt t redits;
+      repair_avoid_entries t redits
     end
   end
 
@@ -351,46 +255,28 @@ let remove_node t k =
   (* rev out-links of k (forward links *into* k) can carry other nodes'
      root-side paths; capture them before detaching. *)
   let rev_out = Digraph.out_links t.rev k in
-  let fwd_out = if t.dynamic then Digraph.out_links t.g k else [||] in
+  let fwd_out = Digraph.out_links t.g k in
   Digraph.detach_node t.g k;
   Digraph.detach_node t.rev k;
   mark_edit t;
   t.inval_passes <- t.inval_passes + 1;
-  if t.dynamic then begin
-    (* every incident link deleted, expressed as rev-graph edits.  The
-       entry avoid.(k) itself survives untouched (and exact): links
-       incident to k are invisible to the k-forbidden search. *)
-    let redits =
-      Array.fold_left
-        (fun acc (u, w) ->
-          { Dynamic_sssp.u = k; v = u; w0 = w; w1 = infinity } :: acc)
-        [] rev_out
-    in
-    let redits =
-      Array.fold_left
-        (fun acc (y, w) ->
-          { Dynamic_sssp.u = y; v = k; w0 = w; w1 = infinity } :: acc)
-        redits fwd_out
-    in
-    repair_spt t redits;
-    repair_avoid_entries t redits
-  end
-  else begin
-    t.avoid.(k) <- None;
-    Array.iteri
-      (fun j entry ->
-        match entry with
-        | Some d when j <> k ->
-          let dk = d.(k) in
-          let keeps =
-            dk = infinity
-            || Array.for_all (fun (x, w) -> x = j || d.(x) < dk +. w) rev_out
-          in
-          if keeps then d.(k) <- infinity (* k is now isolated *)
-          else t.avoid.(j) <- None
-        | _ -> ())
-      t.avoid
-  end
+  (* every incident link deleted, expressed as rev-graph edits.  The
+     entry avoid.(k) itself survives untouched (and exact): links
+     incident to k are invisible to the k-forbidden search. *)
+  let redits =
+    Array.fold_left
+      (fun acc (u, w) ->
+        { Dynamic_sssp.u = k; v = u; w0 = w; w1 = infinity } :: acc)
+      [] rev_out
+  in
+  let redits =
+    Array.fold_left
+      (fun acc (y, w) ->
+        { Dynamic_sssp.u = y; v = k; w0 = w; w1 = infinity } :: acc)
+      redits fwd_out
+  in
+  repair_spt t redits;
+  repair_avoid_entries t redits
 
 let grow_scratches t nn =
   if nn > Dijkstra.scratch_capacity t.scratches.(0) then
@@ -419,9 +305,9 @@ let apply_links t id ~out ~inn =
       end)
     inn
 
-(* Dynamic mode: a freshly attached node's links, as rev-graph
-   insertions, read off the graph itself (so duplicates in the caller's
-   link lists fold away). *)
+(* A freshly attached node's links, as rev-graph insertions, read off
+   the graph itself (so duplicates in the caller's link lists fold
+   away). *)
 let attach_redits t id =
   let redits =
     Array.fold_left
@@ -436,42 +322,11 @@ let attach_redits t id =
     redits
     (Digraph.out_links t.rev id)
 
-(* Drop mode: [id]'s links are freshly in place and every surviving
-   cache currently holds [d.(id) = infinity] (extended row, or a node
-   isolated by {!remove_node}).  [id]'s avoidance distance is one
-   Bellman step over its rev in-links (= forward out-links): all new
-   links are incident to [id], so the best root-side path ends with one
-   of them and an untouched prefix.  A cache survives iff [id]'s rev
-   out-links improve nobody (ties keep the minimum's bit pattern, so
-   [<=] is exact). *)
-let patch_attached t id =
-  let rev_in = Digraph.out_links t.g id (* (v, w): rev-link v -> id *) in
-  let rev_out = Digraph.out_links t.rev id (* (u, w): rev-link id -> u *) in
-  Array.iteri
-    (fun j entry ->
-      match entry with
-      | Some d when j <> id ->
-        let dy =
-          Array.fold_left
-            (fun acc (v, w) -> Float.min acc (d.(v) +. w))
-            infinity rev_in
-        in
-        let keeps =
-          dy = infinity
-          || Array.for_all (fun (u, w) -> u = j || d.(u) <= dy +. w) rev_out
-        in
-        if keeps then d.(id) <- dy else t.avoid.(j) <- None
-      | _ -> ())
-    t.avoid
-
 let attach t id =
   t.inval_passes <- t.inval_passes + 1;
-  if t.dynamic then begin
-    let redits = attach_redits t id in
-    repair_spt t redits;
-    repair_avoid_entries t redits
-  end
-  else patch_attached t id
+  let redits = attach_redits t id in
+  repair_spt t redits;
+  repair_avoid_entries t redits
 
 let check_attach_link ~what ~n ~self (x, w) =
   if x < 0 || x >= n || x = self then
@@ -521,57 +376,37 @@ let rejoin_node t k ~out ~inn =
   apply_links t k ~out ~inn;
   mark_edit t;
   (* Surviving caches hold d.(k) = infinity — exactly the add_node
-     situation, minus the array extension.  (Drop mode must forget
-     avoid.(k): the node's own entry was computed before it left.  It
-     is in fact still exact — k's links are invisible to the
-     k-forbidden search — which is why dynamic mode keeps it.) *)
-  if not t.dynamic then t.avoid.(k) <- None;
+     situation, minus the array extension.  The node's own entry
+     avoid.(k) stays exact: k's links are invisible to the k-forbidden
+     search. *)
   attach t k
 
 (* ------------------------------------------------------------------ *)
 (* The batch, assembled from caches.                                    *)
 
-let relay_array is_relay =
-  let l = ref [] in
-  for k = Array.length is_relay - 1 downto 0 do
-    if is_relay.(k) then l := k :: !l
-  done;
-  Array.of_list !l
-
 let shared_tree t =
-  if t.dynamic then begin
-    match t.dyn with
-    | Some dy ->
-      (* flush and the structural deltas keep the patched tree exact;
-         anything else would be a bookkeeping bug — recover loudly in
-         debug, silently in release *)
-      if t.tree_version <> version t then begin
-        Dynamic_sssp.rebuild dy;
-        t.spt_runs <- t.spt_runs + 1;
-        t.tree_version <- version t
-      end;
-      Dynamic_sssp.tree dy
-    | None ->
-      let dy = Dynamic_sssp.create ~graph:t.rev ~mirror:t.g ~source:t.root in
-      t.dyn <- Some dy;
-      t.tree_version <- version t;
+  match t.dyn with
+  | Some dy ->
+    (* flush and the structural deltas keep the patched tree exact;
+       anything else would be a bookkeeping bug — recover by a
+       rebuild *)
+    if t.tree_version <> version t then begin
+      Dynamic_sssp.rebuild dy;
       t.spt_runs <- t.spt_runs + 1;
-      Dynamic_sssp.tree dy
-  end
-  else
-    match t.tree with
-    | Some tree when t.tree_version = version t -> tree
-    | _ ->
-      let tree = Dijkstra.link_weighted t.rev t.root in
-      t.tree <- Some tree;
-      t.tree_version <- version t;
-      t.spt_runs <- t.spt_runs + 1;
-      tree
+      t.tree_version <- version t
+    end;
+    Dynamic_sssp.tree dy
+  | None ->
+    let dy = Dynamic_sssp.create ~graph:t.rev ~mirror:t.g ~source:t.root in
+    t.dyn <- Some dy;
+    t.tree_version <- version t;
+    t.spt_runs <- t.spt_runs + 1;
+    Dynamic_sssp.tree dy
 
 let entry_fresh t k =
   match t.avoid.(k) with
   | None -> false
-  | Some _ -> (not t.dynamic) || t.avoid_epoch.(k) = t.cache_epoch
+  | Some _ -> t.avoid_epoch.(k) = t.cache_epoch
 
 let payments t =
   match t.last with
@@ -589,13 +424,14 @@ let payments t =
         if h <> t.root && h >= 0 then is_relay.(h) <- true
       end
     done;
-    let relays = relay_array is_relay in
+    let relays = C.relay_array is_relay in
     let missing =
-      relay_array (Array.init nn (fun k -> is_relay.(k) && not (entry_fresh t k)))
+      C.relay_array
+        (Array.init nn (fun k -> is_relay.(k) && not (entry_fresh t k)))
     in
     let dists =
-      match t.kernel with
-      | `CsrBounded when Array.length missing > 0 ->
+      if Array.length missing = 0 then [||]
+      else begin
         (* Per-relay fills bounded to the relay's SPT subtree: exterior
            distances are copied bit-for-bit from the shared tree, only
            the region is wiped/reseeded/settled.  Oversized subtrees
@@ -630,18 +466,7 @@ let payments t =
             else t.avoid_fallback <- t.avoid_fallback + 1;
             d)
           pairs
-      | `CsrBounded -> [||]
-      | `Csr ->
-        steal_map t ~states:t.scratches
-          (fun scratch k ->
-            Dijkstra.link_weighted_dist_csr scratch ~avoid:k t.rev t.root)
-          missing
-      | `Boxed ->
-        steal_map t ~states:t.scratches
-          (fun scratch k ->
-            Dijkstra.link_weighted_dist scratch ~forbidden:(fun v -> v = k)
-              t.rev t.root)
-          missing
+      end
     in
     Array.iteri
       (fun i k ->
@@ -689,7 +514,7 @@ let payments t =
               }
           end)
     in
-    t.unbounded <- Array.to_list (relay_array cut);
+    t.unbounded <- Array.to_list (C.relay_array cut);
     let batch =
       { root = t.root; to_root_dist = Array.copy tree.Dijkstra.dist; results }
     in

@@ -21,18 +21,18 @@
     fanned out across the {!Wnet_par} pool — instead of being dropped
     and recomputed whole.  Entries whose region exceeds the repair
     budget (or whose parents hit a bit-equal tie, for the tree) fall
-    back to a from-scratch run, so the worst case never regresses past
-    the drop scheme.  [~dynamic:false] restores the PR 2/3 baseline:
-    per-entry slack tests that either prove an entry untouched or drop
-    it whole — the comparison row the bench keeps honest.
+    back to a from-scratch run.  Cache misses are filled by the
+    subtree-bounded kernel ({!Wnet_graph.Avoid_region}), which falls
+    back to a full-graph CSR Dijkstra when a relay's subtree outgrows
+    its budget.
 
     {b Determinism contract:} after any edit sequence, {!payments} is
     bit-identical ([Float.equal], including [infinity] payments for
     cut-vertex relays and identical paths) to a from-scratch batch on
-    the edited graph — the zero-copy
-    [Wnet_core.Link_cost.all_to_root] path, which is itself a one-shot
-    session.  The qcheck suite drives random edit sequences against
-    that oracle. *)
+    the edited graph.  The oracle lives in the test suite
+    ([test/oracle.ml]): a clone-per-relay batch that shares no code with
+    the session.  The qcheck suite drives random edit, churn, join and
+    rejoin sequences against it at pool sizes 1 and 3. *)
 
 type t
 
@@ -90,8 +90,6 @@ type stats = {
 val create :
   ?pool:Wnet_par.t ->
   ?copy:bool ->
-  ?dynamic:bool ->
-  ?kernel:[ `CsrBounded | `Csr | `Boxed ] ->
   Wnet_graph.Digraph.t ->
   root:int ->
   t
@@ -101,17 +99,6 @@ val create :
     mutate nor rely on it afterwards (used by the one-shot wrappers).
     [?pool] (default {!Wnet_par.sequential}) fans avoidance Dijkstras
     out over domains; every pool size yields bit-identical payments.
-    [~dynamic:false] (default [true]) disables dynamic SSSP repair and
-    restores drop-style invalidation — same payments, different cost
-    profile.
-    [?kernel] selects the avoidance Dijkstra that fills cache misses:
-    [`CsrBounded] (default) copies exterior distances from the shared
-    SPT and recomputes only the relay's subtree region
-    ({!Wnet_graph.Avoid_region}), falling back to the full-graph CSR
-    kernel on budget overflow; [`Csr] is the flat zero-allocation
-    full-graph ban-mask kernel; [`Boxed] the original closure-predicate
-    run over boxed adjacency.  All three are kept as differential
-    oracles — payments are bit-identical whichever is selected.
     @raise Invalid_argument if [root] is out of range. *)
 
 val n : t -> int

@@ -7,7 +7,7 @@ type outcome = {
   payments : float array;
 }
 
-type stats = {
+type stats = Link_session.stats = {
   edits : int;
   coalesced_edits : int;
   inval_passes : int;
@@ -22,39 +22,21 @@ type stats = {
   avoid_fallback : int;
 }
 
-(* Region-size histogram, same classes as {!Link_session}. *)
-let hist_buckets = 24
-
-let hist_bucket r =
-  if r <= 0 then 0
-  else begin
-    let b = ref 1 and x = ref r in
-    while !x > 1 do
-      incr b;
-      x := !x lsr 1
-    done;
-    min !b (hist_buckets - 1)
-  end
+module C = Engine_common
 
 type t = {
   root : int;
   pool : Wnet_par.t;
-  dynamic : bool;
-  kernel : [ `CsrBounded | `Csr | `Boxed ];
-      (* avoidance kernel for cache misses: subtree-bounded region
-         kernel over the shared SPT (default, full-CSR fallback on
-         budget overflow), flat CSR ban-mask, or the boxed closure
-         oracle — bit-identical outputs *)
   mutable g : Graph.t;  (* adjacency shared; cost vector swapped per edit *)
   mutable gver : int;  (* session-managed version stamp *)
   mutable tree : Dijkstra.tree option;
-      (* the node-weighted shared tree stays live-or-die in both modes:
+      (* the node-weighted shared tree stays live-or-die:
          Dynamic_sssp repairs link-weighted trees, and the node model's
          tree is one Dijkstra per burst anyway — the per-relay avoidance
          arrays are the expensive part, and those are patched *)
   mutable tree_version : int;
   mutable avoid : float array option array;
-  mutable avoid_epoch : int array;  (* dynamic mode: exact iff = cache_epoch *)
+  mutable avoid_epoch : int array;  (* entry k exact iff = cache_epoch *)
   mutable cache_epoch : int;
   scratches : Dijkstra.scratch array;
   dscratches : Dynamic_sssp.dist_scratch array;
@@ -73,22 +55,18 @@ type t = {
   mutable avoid_reused : int;
   mutable repaired_entries : int;
   mutable fallback_recomputes : int;
-  mutable tasks_executed : int;
-  mutable tasks_stolen : int;
+  tasks : C.tasks;
   mutable avoid_bounded : int;
   mutable avoid_fallback : int;
   region_hist : int array;
 }
 
-let create ?(pool = Wnet_par.sequential) ?(dynamic = true)
-    ?(kernel = `CsrBounded) g ~root =
+let create ?(pool = Wnet_par.sequential) g ~root =
   let n = Graph.n g in
   if root < 0 || root >= n then invalid_arg "Node_session.create: root out of range";
   {
     root;
     pool;
-    dynamic;
-    kernel;
     g;
     gver = 0;
     tree = None;
@@ -114,11 +92,10 @@ let create ?(pool = Wnet_par.sequential) ?(dynamic = true)
     avoid_reused = 0;
     repaired_entries = 0;
     fallback_recomputes = 0;
-    tasks_executed = 0;
-    tasks_stolen = 0;
+    tasks = C.make_tasks ();
     avoid_bounded = 0;
     avoid_fallback = 0;
-    region_hist = Array.make hist_buckets 0;
+    region_hist = C.make_hist ();
   }
 
 let n t = Graph.n t.g
@@ -132,57 +109,19 @@ let stats t =
     avoid_runs = t.avoid_runs; avoid_reused = t.avoid_reused;
     repaired_entries = t.repaired_entries;
     fallback_recomputes = t.fallback_recomputes;
-    tasks_executed = t.tasks_executed; tasks_stolen = t.tasks_stolen;
+    tasks_executed = t.tasks.C.executed; tasks_stolen = t.tasks.C.stolen;
     avoid_bounded = t.avoid_bounded; avoid_fallback = t.avoid_fallback }
 let unbounded_relays t = t.unbounded
-
-let region_histogram t =
-  let out = ref [] in
-  for b = hist_buckets - 1 downto 0 do
-    if t.region_hist.(b) > 0 then
-      let lo = if b = 0 then 0 else 1 lsl (b - 1) in
-      out := (lo, t.region_hist.(b)) :: !out
-  done;
-  !out
-
-let record_region t r =
-  t.region_hist.(hist_bucket r) <- t.region_hist.(hist_bucket r) + 1
-
-(* See {!Link_session}: stealing fan-out plus counter-delta folding. *)
-let steal_map t ~states f a =
-  let before = Wnet_par.stats t.pool in
-  let r = Wnet_par.map_array_stealing_pooled t.pool ~states f a in
-  let after = Wnet_par.stats t.pool in
-  t.tasks_executed <-
-    t.tasks_executed + after.Wnet_par.tasks_executed
-    - before.Wnet_par.tasks_executed;
-  t.tasks_stolen <-
-    t.tasks_stolen + after.Wnet_par.tasks_stolen - before.Wnet_par.tasks_stolen;
-  r
+let steal_map t ~states f a = C.steal_map t.pool t.tasks ~states f a
+let region_histogram t = C.region_histogram t.region_hist
+let record_region t r = C.record_region t.region_hist r
 
 let mark_edit t =
   t.gver <- t.gver + 1;
   t.edits <- t.edits + 1;
   t.last <- None
 
-(* Node [x]'s cost changed from [c0] to [c1] (removal: [c1 = infinity],
-   which kills every relaxation out of [x]).  A cached [j]-avoiding
-   array [d] survives iff no root-side shortest path of that search can
-   be touched: relaxations out of [x] offer each neighbour [w] the
-   candidate [d.(x) +. cost x] (node-weighted Dijkstra charges the
-   relay cost on *leaving* [x]), so the cache is exact as long as no
-   such candidate improves — or was tight for — its target.  The float
-   comparisons mirror the relaxation arithmetic bit for bit. *)
-let cost_edit_keeps d ~nbrs ~j ~x ~c0 ~c1 =
-  let dx = d.(x) in
-  dx = infinity
-  || Array.for_all
-       (fun w ->
-         w = j
-         || (if c1 < c0 then d.(w) <= dx +. c1 else d.(w) < dx +. c0))
-       nbrs
-
-(* Dynamic mode: patch every currently-exact avoidance entry against the
+(* Patch every currently-exact avoidance entry against the
    burst's net node-cost edits, fanned out over the pool.  An
    [`Overflow] leaves the entry corrupted: drop it and count a
    fallback. *)
@@ -224,12 +163,9 @@ let repair_avoid_entries t nedits =
     fresh
 
 (* Deferred, coalesced maintenance: cost edits swap the cost vector
-   eagerly, the cache pass waits for the next flush and handles each
-   surviving cache against every *net* node-cost change in one go —
-   dynamic-repairing it in place, or (drop mode) testing the slack
-   conditions and dropping it whole (same soundness argument as the
-   link model: a kept decrease improves no relaxation target, a kept
-   increase was strictly slack, a reverted edit vanishes).  Adjacency
+   eagerly, the cache pass waits for the next flush and repairs each
+   exact cache in place against every *net* node-cost change in one go
+   (an edit reverted within the burst vanishes).  Adjacency
    never changes between flushes — the structural delta
    ({!remove_node}) flushes first — so neighbour sets read at flush
    time are the ones every buffered edit saw. *)
@@ -249,25 +185,10 @@ let flush t =
     t.pending_edits <- 0;
     if net <> [] then begin
       t.inval_passes <- t.inval_passes + 1;
-      if t.dynamic then
-        repair_avoid_entries t
-          (List.map
-             (fun (x, nbrs, c0, c1) -> { Dynamic_sssp.x; nbrs; c0; c1 })
-             net)
-      else
-        Array.iteri
-          (fun j entry ->
-            match entry with
-            | Some d ->
-              if
-                not
-                  (List.for_all
-                     (fun (x, nbrs, c0, c1) ->
-                       j = x || cost_edit_keeps d ~nbrs ~j ~x ~c0 ~c1)
-                     net)
-              then t.avoid.(j) <- None
-            | None -> ())
-          t.avoid
+      repair_avoid_entries t
+        (List.map
+           (fun (x, nbrs, c0, c1) -> { Dynamic_sssp.x; nbrs; c0; c1 })
+           net)
     end
   end
 
@@ -298,39 +219,17 @@ let remove_node t x =
   t.g <- Graph.remove_node t.g x;
   mark_edit t;
   t.inval_passes <- t.inval_passes + 1;
-  if t.dynamic then begin
-    (* as a cost edit to infinity: no search relays x any more.  The
-       entry avoid.(x) itself stays exact (x is invisible to its own
-       search); the others are repaired, then x's now-adjacencyless
-       label is forced to the from-scratch value. *)
-    repair_avoid_entries t
-      [ { Dynamic_sssp.x; nbrs; c0; c1 = infinity } ];
-    Array.iteri
-      (fun j entry ->
-        match entry with
-        | Some d when t.avoid_epoch.(j) = t.cache_epoch -> d.(x) <- infinity
-        | _ -> ())
-      t.avoid
-  end
-  else begin
-    t.avoid.(x) <- None;
-    Array.iteri
-      (fun j entry ->
-        match entry with
-        | Some d when j <> x ->
-          if cost_edit_keeps d ~nbrs ~j ~x ~c0 ~c1:infinity then
-            d.(x) <- infinity (* x is now isolated *)
-          else t.avoid.(j) <- None
-        | _ -> ())
-      t.avoid
-  end
-
-let relay_array is_relay =
-  let l = ref [] in
-  for k = Array.length is_relay - 1 downto 0 do
-    if is_relay.(k) then l := k :: !l
-  done;
-  Array.of_list !l
+  (* as a cost edit to infinity: no search relays x any more.  The entry
+     avoid.(x) itself stays exact (x is invisible to its own search);
+     the others are repaired, then x's now-adjacencyless label is forced
+     to the from-scratch value. *)
+  repair_avoid_entries t [ { Dynamic_sssp.x; nbrs; c0; c1 = infinity } ];
+  Array.iteri
+    (fun j entry ->
+      match entry with
+      | Some d when t.avoid_epoch.(j) = t.cache_epoch -> d.(x) <- infinity
+      | _ -> ())
+    t.avoid
 
 let shared_tree t =
   match t.tree with
@@ -345,7 +244,7 @@ let shared_tree t =
 let entry_fresh t k =
   match t.avoid.(k) with
   | None -> false
-  | Some _ -> (not t.dynamic) || t.avoid_epoch.(k) = t.cache_epoch
+  | Some _ -> t.avoid_epoch.(k) = t.cache_epoch
 
 let payments t =
   match t.last with
@@ -362,13 +261,14 @@ let payments t =
         if h >= 0 && h <> t.root then is_relay.(h) <- true
       end
     done;
-    let relays = relay_array is_relay in
+    let relays = C.relay_array is_relay in
     let missing =
-      relay_array (Array.init nn (fun k -> is_relay.(k) && not (entry_fresh t k)))
+      C.relay_array
+        (Array.init nn (fun k -> is_relay.(k) && not (entry_fresh t k)))
     in
     let dists =
-      match t.kernel with
-      | `CsrBounded when Array.length missing > 0 ->
+      if Array.length missing = 0 then [||]
+      else begin
         (* Subtree-bounded fills; see {!Link_session.payments}.  Stolen
            tasks return (dist, region) pairs, counters fold here on the
            main thread. *)
@@ -401,18 +301,7 @@ let payments t =
             else t.avoid_fallback <- t.avoid_fallback + 1;
             d)
           pairs
-      | `CsrBounded -> [||]
-      | `Csr ->
-        steal_map t ~states:t.scratches
-          (fun scratch k ->
-            Dijkstra.node_weighted_dist_csr scratch ~avoid:k t.g ~source:t.root)
-          missing
-      | `Boxed ->
-        steal_map t ~states:t.scratches
-          (fun scratch k ->
-            Dijkstra.node_weighted_dist scratch ~forbidden:(fun v -> v = k) t.g
-              ~source:t.root)
-          missing
+      end
     in
     Array.iteri
       (fun i k ->
@@ -447,7 +336,7 @@ let payments t =
             Some { src; path; lcp_cost; payments }
           end)
     in
-    t.unbounded <- Array.to_list (relay_array cut);
+    t.unbounded <- Array.to_list (C.relay_array cut);
     t.last <- Some (t.gver, results);
     results
 

@@ -12,13 +12,15 @@
     ({!Wnet_graph.Dynamic_sssp.repair_node_dist}), falling back to a
     from-scratch rerun when the region exceeds the budget.  The shared
     node-weighted tree stays live-or-die (it is one Dijkstra per burst;
-    the per-relay arrays are the expensive part).  [~dynamic:false]
-    restores the drop-style slack tests of PR 3.
+    the per-relay arrays are the expensive part).  Cache misses are
+    filled by the subtree-bounded kernel ({!Wnet_graph.Avoid_region}),
+    with a full-graph CSR Dijkstra as its budget-overflow fallback.
 
     {b Determinism contract:} {!payments} after any edit sequence is
     bit-identical ([Float.equal], identical paths) to a from-scratch
-    [Wnet_core.Unicast.all_to_root] on the edited graph — which is
-    itself a one-shot session. *)
+    batch on the edited graph.  The oracle lives in the test suite
+    ([test/oracle.ml]): the node-weighted tree, a boxed forbidden-node
+    Dijkstra per relay, and the payment formula — no session code. *)
 
 type t
 
@@ -30,51 +32,35 @@ type outcome = {
       (** per node; [infinity] marks a monopoly (cut-vertex) relay *)
 }
 
-type stats = {
+type stats = Link_session.stats = {
   edits : int;
   coalesced_edits : int;
-      (** cost edits folded into a shared deferred-invalidation flush *)
   inval_passes : int;
-      (** passes over the avoidance-cache array (flushes + leaves) *)
   spt_runs : int;
   avoid_runs : int;
   avoid_reused : int;
   repaired_entries : int;
-      (** avoidance arrays patched in place by dynamic SSSP repair *)
   fallback_recomputes : int;
-      (** repair attempts that bailed (oversized affected region) *)
   tasks_executed : int;
-      (** units of work run through the pool's work-stealing scheduler
-          (avoidance Dijkstras and in-place repairs, inline fallbacks
-          included) *)
   tasks_stolen : int;
-      (** the subset executed by a domain other than the one that queued
-          them — nonzero only when stealing actually rebalanced load *)
   avoid_bounded : int;
-      (** cache-miss fills served by the subtree-bounded region kernel *)
   avoid_fallback : int;
-      (** bounded fills that outgrew the budget and fell back to a
-          full-graph CSR Dijkstra *)
 }
+(** The link engine's work ledger, counted the same way: [spt_runs]
+    counts node-weighted tree reruns, [repaired_entries] avoidance
+    arrays patched in place, [fallback_recomputes] repairs that bailed
+    on an oversized region. *)
 
 val create :
   ?pool:Wnet_par.t ->
-  ?dynamic:bool ->
-  ?kernel:[ `CsrBounded | `Csr | `Boxed ] ->
   Wnet_graph.Graph.t ->
   root:int ->
   t
 (** [create g ~root] opens a session on [g].  [Graph.t] is immutable,
     so the session shares the adjacency structure and swaps cost
-    vectors; the caller's graph is never affected.  [~dynamic:false]
-    (default [true]) disables in-place cache repair in favour of
-    drop-style invalidation.  [?kernel] selects the avoidance Dijkstra
-    for cache misses — [`CsrBounded] (default) the subtree-bounded
-    region kernel over the shared SPT with full-CSR fallback on budget
-    overflow ({!Wnet_graph.Avoid_region}), [`Csr] the flat
-    zero-allocation full-graph ban-mask kernel, [`Boxed] the
-    closure-predicate oracle; payments are bit-identical whichever is
-    selected.
+    vectors; the caller's graph is never affected.  [?pool] (default
+    {!Wnet_par.sequential}) fans avoidance work out over domains; every
+    pool size yields bit-identical payments.
     @raise Invalid_argument if [root] is out of range. *)
 
 val n : t -> int

@@ -22,9 +22,7 @@ type stats = Link_session.stats = {
    Both directions of the text protocol derive from this table
    (Wnet_proto prints `ok k=v ...` from [to_fields] and rebuilds the
    record through [of_fields]), so adding a counter is one row here —
-   not an arity case in every parser.  Rows are in wire order; older
-   layouts are prefixes (v1 = 6 counters, v2 = 8, v3 = 10, v4 = all
-   12). *)
+   not an arity case in every parser.  Rows are in wire order. *)
 let stats_layout :
     (string * (stats -> int) * (stats -> int -> stats)) array =
   [|
@@ -61,8 +59,6 @@ let stats_layout :
       (fun s -> s.avoid_fallback),
       fun s v -> { s with avoid_fallback = v } );
   |]
-
-let stats_version = 4
 
 let zero_stats =
   {
@@ -197,22 +193,7 @@ let make ?(pool = Wnet_par.sequential) ~root g =
         own ();
         NS.flush s
 
-      let stats () =
-        let st = NS.stats s in
-        {
-          edits = st.NS.edits;
-          coalesced_edits = st.NS.coalesced_edits;
-          inval_passes = st.NS.inval_passes;
-          spt_runs = st.NS.spt_runs;
-          avoid_runs = st.NS.avoid_runs;
-          avoid_reused = st.NS.avoid_reused;
-          repaired_entries = st.NS.repaired_entries;
-          fallback_recomputes = st.NS.fallback_recomputes;
-          tasks_executed = st.NS.tasks_executed;
-          tasks_stolen = st.NS.tasks_stolen;
-          avoid_bounded = st.NS.avoid_bounded;
-          avoid_fallback = st.NS.avoid_fallback;
-        }
+      let stats () = NS.stats s
     end : S)
   | `Link g ->
     let module LS = Link_session in

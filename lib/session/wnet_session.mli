@@ -34,18 +34,10 @@ type stats = Link_session.stats = {
   avoid_bounded : int;
   avoid_fallback : int;
 }
-(** The unified work ledger (the node engine's counters are converted
-    into the same record). *)
-
-val stats_version : int
-(** Version of the stats wire layout: 1 = the first 6 counters, 2 = the
-    first 8, 3 = the first 10, 4 = all 12.  Older layouts are strict
-    prefixes of newer ones, which is what lets {!Wnet_proto} keep
-    parsing every legacy arity through one table. *)
+(** The unified work ledger; both engines share this record. *)
 
 val zero_stats : stats
-(** All counters zero — the [of_fields] default for omitted trailing
-    counters on short legacy lines. *)
+(** All counters zero — the [of_fields] default for omitted keys. *)
 
 val stats_field_names : string array
 (** The counter keys in wire order ([edits], [coalesced], ...,
@@ -59,8 +51,7 @@ val to_fields : stats -> (string * int) list
 
 val of_fields : (string * int) list -> (stats, string) result
 (** Rebuild a record from [(key, value)] pairs; keys may be any subset
-    (missing counters default to zero, as on legacy wire forms),
-    unknown keys are an [Error]. *)
+    (missing counters default to zero), unknown keys are an [Error]. *)
 
 (** A topology delta, covering both models.  [Set_node_cost] is valid
     only on [`Node] sessions; [Set_link_cost], [Join] and [Rejoin] only

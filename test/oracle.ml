@@ -1,0 +1,187 @@
+(* From-scratch oracles the payment engines are held to, bit for bit.
+
+   Nothing here calls a session, the one-shot batch wrappers built on
+   them ([Link_cost.all_to_root], [Unicast.all_to_root]), or the CSR
+   scratch kernels:
+
+   - [link_dist] / [node_dist] are a boxed forbidden-node Dijkstra over
+     [Digraph.out_links] / [Graph.neighbors], settling by linear scan;
+   - [link_batch] is the clone-per-relay link-cost batch: the reversed
+     tree, then one [Digraph.remove_links_to] clone and tree run per
+     relay;
+   - [node_batch] is the node-cost batch: the [Dijkstra.node_weighted]
+     tree, one [node_dist] per relay, and [cost k +. avoid -. lcp] — the
+     sessions' float association, so payments compare with
+     [Float.equal].
+
+   Any correct Dijkstra yields the same float distances: float addition
+   of a non-negative weight is monotone and never decreases, so every
+   label is the minimum over paths of that path's left-to-right sum,
+   whatever the settlement order. *)
+
+open Wnet_graph
+module LC = Wnet_core.Link_cost
+module U = Wnet_core.Unicast
+module LS = Wnet_session.Link_session
+module NS = Wnet_session.Node_session
+
+(* [relax u du offer] offers each out-neighbour [w] of the settled node
+   [u] its candidate distance through [u]. *)
+let dijkstra ~n ~avoid ~source relax =
+  if source < 0 || source >= n then invalid_arg "Oracle: source out of range";
+  let dist = Array.make n infinity and settled = Array.make n false in
+  dist.(source) <- 0.0;
+  let offer w c = if w <> avoid && c < dist.(w) then dist.(w) <- c in
+  let rec loop () =
+    let u = ref (-1) in
+    for v = 0 to n - 1 do
+      if (not settled.(v)) && dist.(v) < infinity
+         && (!u < 0 || dist.(v) < dist.(!u))
+      then u := v
+    done;
+    if !u >= 0 then begin
+      settled.(!u) <- true;
+      relax !u dist.(!u) offer;
+      loop ()
+    end
+  in
+  loop ();
+  dist
+
+(* Link-weighted distances from [source] with node [avoid] (default:
+   none) never entered. *)
+let link_dist ?(avoid = -1) g source =
+  dijkstra ~n:(Digraph.n g) ~avoid ~source (fun u du offer ->
+      Array.iter (fun (w, wt) -> offer w (du +. wt)) (Digraph.out_links g u))
+
+(* Node-weighted distances: leaving [u] charges its relay cost, except
+   from the source. *)
+let node_dist ?(avoid = -1) g ~source =
+  dijkstra ~n:(Graph.n g) ~avoid ~source (fun u du offer ->
+      let c = if u = source then du else du +. Graph.cost g u in
+      Array.iter (fun w -> offer w c) (Graph.neighbors g u))
+
+(* Relays: the internal nodes of a from-root tree. *)
+let relays (tree : Dijkstra.tree) ~root =
+  let n = Array.length tree.Dijkstra.parent in
+  let is_relay = Array.make n false in
+  for v = 0 to n - 1 do
+    let h = tree.Dijkstra.parent.(v) in
+    if v <> root && Dijkstra.reachable tree v && h <> root && h >= 0 then
+      is_relay.(h) <- true
+  done;
+  is_relay
+
+let link_batch g ~root =
+  let n = Digraph.n g in
+  let rev = Digraph.reverse g in
+  let tree = Dijkstra.link_weighted rev root in
+  let is_relay = relays tree ~root in
+  let avoid =
+    Array.init n (fun k ->
+        if is_relay.(k) then
+          (Dijkstra.link_weighted (Digraph.remove_links_to rev k) root)
+            .Dijkstra.dist
+        else [||])
+  in
+  let results =
+    Array.init n (fun src ->
+        if src = root || not (Dijkstra.reachable tree src) then None
+        else begin
+          let path = Array.of_list (Dijkstra.path_in_tree tree src) in
+          let lcp_cost = Dijkstra.dist tree src in
+          let payments = Array.make n 0.0 in
+          for l = 1 to Array.length path - 2 do
+            let k = path.(l) in
+            let used_link = Digraph.weight g k path.(l + 1) in
+            payments.(k) <- used_link +. (avoid.(k).(src) -. lcp_cost)
+          done;
+          let first_link = Digraph.weight g path.(0) path.(1) in
+          Some
+            {
+              LC.src;
+              dst = root;
+              path;
+              lcp_cost;
+              relay_cost = lcp_cost -. first_link;
+              payments;
+            }
+        end)
+  in
+  { LC.root; to_root_dist = Array.copy tree.Dijkstra.dist; results }
+
+let node_batch g ~root =
+  let n = Graph.n g in
+  let tree = Dijkstra.node_weighted g ~source:root in
+  let is_relay = relays tree ~root in
+  let avoid =
+    Array.init n (fun k ->
+        if is_relay.(k) then node_dist ~avoid:k g ~source:root else [||])
+  in
+  Array.init n (fun src ->
+      if src = root || not (Dijkstra.reachable tree src) then None
+      else begin
+        let path = Array.of_list (Dijkstra.path_in_tree tree src) in
+        let lcp_cost = Dijkstra.dist tree src in
+        let payments = Array.make n 0.0 in
+        Array.iter
+          (fun k ->
+            payments.(k) <- Graph.cost g k +. avoid.(k).(src) -. lcp_cost)
+          (Path.relays path);
+        Some { U.src; dst = root; path; lcp_cost; payments }
+      end)
+
+(* ---------------- comparators ---------------- *)
+
+let floats_equal a b =
+  Array.length a = Array.length b && Array.for_all2 Float.equal a b
+
+let options_equal eq a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         match (x, y) with
+         | None, None -> true
+         | Some x, Some y -> eq x y
+         | _ -> false)
+       a b
+
+(* A link session batch against [link_batch]: paths, costs, payments
+   and to-root distances, all bitwise. *)
+let link_matches (b : LS.batch) (o : LC.batch) =
+  b.LS.root = o.LC.root
+  && floats_equal b.LS.to_root_dist o.LC.to_root_dist
+  && options_equal
+       (fun (x : LS.outcome) (y : LC.t) ->
+         x.LS.src = y.LC.src && x.LS.path = y.LC.path
+         && Float.equal x.LS.lcp_cost y.LC.lcp_cost
+         && Float.equal x.LS.relay_cost y.LC.relay_cost
+         && floats_equal x.LS.payments y.LC.payments)
+       b.LS.results o.LC.results
+
+(* A node session batch against [node_batch]. *)
+let node_matches (x : NS.outcome option array) (y : U.t option array) =
+  options_equal
+    (fun (a : NS.outcome) (b : U.t) ->
+      a.NS.src = b.U.src && a.NS.path = b.U.path
+      && Float.equal a.NS.lcp_cost b.U.lcp_cost
+      && floats_equal a.NS.payments b.U.payments)
+    x y
+
+(* Relays charged [infinity] somewhere in a batch — what
+   [unbounded_relays] must report, ascending. *)
+let unbounded payments_of results =
+  let n = Array.length results in
+  let cut = Array.make n false in
+  Array.iter
+    (Option.iter (fun r ->
+         Array.iteri (fun k p -> if p = infinity then cut.(k) <- true)
+           (payments_of r)))
+    results;
+  List.filter (fun k -> cut.(k)) (List.init n Fun.id)
+
+let link_unbounded (o : LC.batch) =
+  unbounded (fun (r : LC.t) -> r.LC.payments) o.LC.results
+
+let node_unbounded (y : U.t option array) =
+  unbounded (fun (r : U.t) -> r.U.payments) y

@@ -2,14 +2,15 @@
    avoidance kernels):
 
    - [Avoid_region.link_avoid]/[node_avoid] are [Float.equal]-identical
-     to the full-CSR and boxed forbidden runs for every relay — cut
-     vertices (infinite avoidance) and unreachable nodes included;
+     to the full-CSR kernel and to the boxed forbidden-node oracle
+     ([Oracle.link_dist]/[node_dist]) for every relay — cut vertices
+     (infinite avoidance) and unreachable nodes included;
    - an undersized budget reports [`Overflow] honestly, and rerunning
      with a sufficient one recovers the exact answer (the session's
      fallback discipline);
-   - whole payment batches stay bit-identical across
-     `CsrBounded/`Csr/`Boxed at pool sizes 1 and 3, under random
-     edit/fill interleavings;
+   - whole session payment batches stay bit-identical to the
+     [Oracle] batches at pool sizes 1 and 3, under random edit/fill
+     interleavings;
    - tied integer weights on a path topology force the fallback (a
      subtree larger than the budget) without perturbing payments. *)
 
@@ -17,7 +18,6 @@ open Wnet_graph
 module Rng = Wnet_prng.Rng
 module LS = Wnet_session.Link_session
 module NS = Wnet_session.Node_session
-module LC = Wnet_core.Link_cost
 
 let floats_equal a b =
   Array.length a = Array.length b && Array.for_all2 Float.equal a b
@@ -50,7 +50,6 @@ let link_kernel_prop seed =
   let idx = Avoid_region.make_index tree in
   let ds = Dynamic_sssp.make_dist_scratch n in
   let scratch = Dijkstra.make_scratch n in
-  let oracle = Dijkstra.make_scratch n in
   let d = Array.make n nan in
   for k = 0 to n - 1 do
     if k <> root then begin
@@ -60,9 +59,7 @@ let link_kernel_prop seed =
         < 0
       then QCheck2.Test.fail_reportf "budget n can never overflow (k=%d)" k;
       let csr = Dijkstra.link_weighted_dist_csr scratch ~avoid:k rev root in
-      let boxed =
-        Dijkstra.link_weighted_dist oracle ~forbidden:(fun v -> v = k) rev root
-      in
+      let boxed = Oracle.link_dist ~avoid:k rev root in
       if not (floats_equal d csr && floats_equal csr boxed) then
         QCheck2.Test.fail_reportf "bounded/full/boxed diverged at relay %d" k
     end
@@ -78,7 +75,6 @@ let node_kernel_prop seed =
   let idx = Avoid_region.make_index tree in
   let ds = Dynamic_sssp.make_dist_scratch n in
   let scratch = Dijkstra.make_scratch n in
-  let oracle = Dijkstra.make_scratch n in
   let d = Array.make n nan in
   for k = 0 to n - 1 do
     if k <> root then begin
@@ -88,10 +84,7 @@ let node_kernel_prop seed =
         < 0
       then QCheck2.Test.fail_reportf "budget n overflowed (k=%d)" k;
       let csr = Dijkstra.node_weighted_dist_csr scratch ~avoid:k g ~source:root in
-      let boxed =
-        Dijkstra.node_weighted_dist oracle ~forbidden:(fun v -> v = k) g
-          ~source:root
-      in
+      let boxed = Oracle.node_dist ~avoid:k g ~source:root in
       if not (floats_equal d csr && floats_equal csr boxed) then
         QCheck2.Test.fail_reportf "bounded/full/boxed diverged at relay %d" k
     end
@@ -110,9 +103,9 @@ let overflow_recovery_prop seed =
   let tree = Dijkstra.link_weighted rev root in
   let idx = Avoid_region.make_index tree in
   let ds = Dynamic_sssp.make_dist_scratch n in
-  let scratch = Dijkstra.make_scratch n in
   let d = Array.make n nan in
   let k = (root + 1 + Rng.int rng (n - 1)) mod n in
+  let exact = Oracle.link_dist ~avoid:k rev root in
   let tight = Rng.int rng 3 in
   let r =
     Avoid_region.link_avoid ds ~budget:tight idx ~graph:rev ~mirror:g ~tree
@@ -121,9 +114,8 @@ let overflow_recovery_prop seed =
   if r >= 0 then begin
     (* a tiny region may genuinely fit — then it must already be exact *)
     if r > tight then QCheck2.Test.fail_reportf "region %d exceeds budget" r;
-    if
-      not (floats_equal d (Dijkstra.link_weighted_dist_csr scratch ~avoid:k rev root))
-    then QCheck2.Test.fail_reportf "in-budget run diverged"
+    if not (floats_equal d exact) then
+      QCheck2.Test.fail_reportf "in-budget run diverged"
   end
   else begin
     if
@@ -131,125 +123,95 @@ let overflow_recovery_prop seed =
         ~avoid:k ~dist:d
       < 0
     then QCheck2.Test.fail_reportf "budget n overflowed after retry";
-    if
-      not
-        (floats_equal d
-           (Dijkstra.link_weighted_dist_csr scratch ~avoid:k rev root))
-    then QCheck2.Test.fail_reportf "post-overflow retry diverged"
+    if not (floats_equal d exact) then
+      QCheck2.Test.fail_reportf "post-overflow retry diverged"
   end;
   true
 
-(* ---------------- sessions: `CsrBounded vs oracles ---------------- *)
+(* ---------------- sessions vs the oracle batches ---------------- *)
 
-let batch_equal (a : LS.batch) (b : LS.batch) =
-  floats_equal a.LS.to_root_dist b.LS.to_root_dist
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | None, None -> true
-         | Some (x : LS.outcome), Some (y : LS.outcome) ->
-           x.LS.path = y.LS.path && floats_equal x.LS.payments y.LS.payments
-         | _ -> false)
-       a.LS.results b.LS.results
+let with_pool ~domains f =
+  if domains = 1 then f Wnet_par.sequential
+  else Wnet_par.with_pool ~domains f
 
-(* Random edit/fill interleavings: three sessions (bounded, full-CSR,
-   boxed) absorb the same stream of cost edits, node leaves and rejoins,
-   with payment batches (= cache fills) demanded at random points.  Run
-   once sequentially and once on a 3-domain pool. *)
+(* Random edit/fill interleavings: one session absorbs a stream of cost
+   edits, node leaves and rejoins, with payment batches (= cache fills)
+   demanded at random points and checked against the clone-per-relay
+   oracle on the session's current topology. *)
 let session_interleaving_prop ~domains seed =
   let rng = Rng.create seed in
   let n = 8 + Rng.int rng 17 in
   let g = random_digraph rng ~n in
-  let run pool =
-    let mk kernel = LS.create ?pool ~kernel g ~root:0 in
-    let sb = mk `CsrBounded and sc = mk `Csr and sx = mk `Boxed in
-    let each f = f sb; f sc; f sx in
-    let agree what =
-      let b = LS.payments sb in
-      if not (batch_equal b (LS.payments sc) && batch_equal b (LS.payments sx))
-      then QCheck2.Test.fail_reportf "batches diverged after %s" what
-    in
-    agree "cold start";
-    let removed = ref [] in
-    for step = 1 to 12 do
-      (match Rng.int rng 6 with
-      | 0 | 1 | 2 ->
-        let u = Rng.int rng n and v = Rng.int rng n in
-        (* leave detached nodes isolated so rejoin stays legal *)
-        if u <> v && (not (List.mem u !removed)) && not (List.mem v !removed)
-        then begin
-          let w =
-            if Rng.bernoulli rng 0.2 then infinity
-            else Rng.float_range rng 0.5 10.0
-          in
-          each (fun s -> LS.set_cost s u v w)
-        end
-      | 3 ->
-        let k = 1 + Rng.int rng (n - 1) in
-        if not (List.mem k !removed) then begin
-          each (fun s -> LS.remove_node s k);
-          removed := k :: !removed
-        end
-      | 4 -> (
-        match !removed with
-        | k :: rest ->
-          let out = [ (Rng.int rng n, Rng.float_range rng 0.5 10.0) ] in
-          let out = List.filter (fun (v, _) -> v <> k) out in
-          each (fun s -> LS.rejoin_node s k ~out ~inn:[]);
-          removed := rest
-        | [] -> ())
-      | _ -> agree (Printf.sprintf "step %d" step));
-      if step mod 4 = 0 then agree (Printf.sprintf "step %d" step)
-    done;
-    agree "final";
-    (* the bounded session must actually have used the bounded path *)
-    let st = LS.stats sb in
-    if st.LS.avoid_runs > 0 && st.LS.avoid_bounded + st.LS.avoid_fallback = 0
-    then QCheck2.Test.fail_reportf "bounded kernel never engaged";
-    let stc = LS.stats sc in
-    if stc.LS.avoid_bounded + stc.LS.avoid_fallback <> 0 then
-      QCheck2.Test.fail_reportf "`Csr session counted bounded fills"
-  in
-  if domains = 1 then run None
-  else Wnet_par.with_pool ~domains (fun pool -> run (Some pool));
+  with_pool ~domains (fun pool ->
+      let s = LS.create ~pool g ~root:0 in
+      let agree what =
+        let oracle = Oracle.link_batch (LS.snapshot s) ~root:0 in
+        if not (Oracle.link_matches (LS.payments s) oracle) then
+          QCheck2.Test.fail_reportf "batch diverged from the oracle after %s"
+            what
+      in
+      agree "cold start";
+      let removed = ref [] in
+      for step = 1 to 12 do
+        (match Rng.int rng 6 with
+        | 0 | 1 | 2 ->
+          let u = Rng.int rng n and v = Rng.int rng n in
+          (* leave detached nodes isolated so rejoin stays legal *)
+          if u <> v && (not (List.mem u !removed)) && not (List.mem v !removed)
+          then begin
+            let w =
+              if Rng.bernoulli rng 0.2 then infinity
+              else Rng.float_range rng 0.5 10.0
+            in
+            LS.set_cost s u v w
+          end
+        | 3 ->
+          let k = 1 + Rng.int rng (n - 1) in
+          if not (List.mem k !removed) then begin
+            LS.remove_node s k;
+            removed := k :: !removed
+          end
+        | 4 -> (
+          match !removed with
+          | k :: rest ->
+            let out = [ (Rng.int rng n, Rng.float_range rng 0.5 10.0) ] in
+            let out = List.filter (fun (v, _) -> v <> k) out in
+            LS.rejoin_node s k ~out ~inn:[];
+            removed := rest
+          | [] -> ())
+        | _ -> agree (Printf.sprintf "step %d" step));
+        if step mod 4 = 0 then agree (Printf.sprintf "step %d" step)
+      done;
+      agree "final";
+      (* the session must actually have used the bounded path *)
+      let st = LS.stats s in
+      if st.LS.avoid_runs > 0 && st.LS.avoid_bounded + st.LS.avoid_fallback = 0
+      then QCheck2.Test.fail_reportf "bounded kernel never engaged");
   true
 
-let node_session_prop seed =
+let node_session_prop ~domains seed =
   let rng = Rng.create seed in
   let g = Test_util.random_ring_graph rng in
   let n = Graph.n g in
-  let mk kernel = NS.create ~kernel g ~root:0 in
-  let sb = mk `CsrBounded and sc = mk `Csr and sx = mk `Boxed in
-  let each f = f sb; f sc; f sx in
-  let agree what =
-    let eq a b =
-      Array.for_all2
-        (fun x y ->
-          match (x, y) with
-          | None, None -> true
-          | Some (x : NS.outcome), Some (y : NS.outcome) ->
-            x.NS.path = y.NS.path && floats_equal x.NS.payments y.NS.payments
-          | _ -> false)
-        a b
-    in
-    let b = NS.payments sb in
-    if not (eq b (NS.payments sc) && eq b (NS.payments sx)) then
-      QCheck2.Test.fail_reportf "node batches diverged after %s" what
-  in
-  agree "cold start";
-  for step = 1 to 10 do
-    (match Rng.int rng 5 with
-    | 0 | 1 | 2 ->
-      let x = 1 + Rng.int rng (n - 1) in
-      let c = Rng.float_range rng 0.0 5.0 in
-      each (fun s -> NS.set_cost s x c)
-    | 3 ->
-      let x = 1 + Rng.int rng (n - 1) in
-      each (fun s -> NS.remove_node s x)
-    | _ -> agree (Printf.sprintf "step %d" step));
-    if step mod 3 = 0 then agree (Printf.sprintf "step %d" step)
-  done;
-  agree "final";
+  with_pool ~domains (fun pool ->
+      let s = NS.create ~pool g ~root:0 in
+      let agree what =
+        let oracle = Oracle.node_batch (NS.graph s) ~root:0 in
+        if not (Oracle.node_matches (NS.payments s) oracle) then
+          QCheck2.Test.fail_reportf
+            "node batch diverged from the oracle after %s" what
+      in
+      agree "cold start";
+      for step = 1 to 10 do
+        (match Rng.int rng 5 with
+        | 0 | 1 | 2 ->
+          let x = 1 + Rng.int rng (n - 1) in
+          NS.set_cost s x (Rng.float_range rng 0.0 5.0)
+        | 3 -> NS.remove_node s (1 + Rng.int rng (n - 1))
+        | _ -> agree (Printf.sprintf "step %d" step));
+        if step mod 3 = 0 then agree (Printf.sprintf "step %d" step)
+      done;
+      agree "final");
   true
 
 (* ---------------- fallback under tied integer weights ------------- *)
@@ -257,7 +219,7 @@ let node_session_prop seed =
 (* A unit-weight path 0 <- 1 <- ... <- n-1: relay 1's subtree holds the
    n-2 nodes behind it, blowing any n/2 budget, and every distance is a
    tie-rich small integer.  The session must fall back (counter) yet
-   keep payments identical to the full-CSR oracle. *)
+   keep payments identical to the oracle batch. *)
 let test_tied_path_forces_fallback () =
   let n = 100 in
   let links = List.init (n - 1) (fun i -> (i + 1, i, 1.0)) in
@@ -265,10 +227,9 @@ let test_tied_path_forces_fallback () =
   let links = (n - 1, 0, float_of_int n) :: links in
   let g = Digraph.create ~n ~links in
   let sb = LS.create g ~root:0 in
-  let sc = LS.create ~kernel:`Csr g ~root:0 in
   let b = LS.payments sb in
-  Alcotest.(check bool) "payments match full-CSR oracle" true
-    (batch_equal b (LS.payments sc));
+  Alcotest.(check bool) "payments match the clone-per-relay oracle" true
+    (Oracle.link_matches b (Oracle.link_batch g ~root:0));
   let st = LS.stats sb in
   Alcotest.(check bool) "some subtree outgrew the budget" true
     (st.LS.avoid_fallback > 0);
@@ -318,20 +279,28 @@ let test_leaf_relay_pinned () =
 
 let suite =
   [
-    Test_util.qcheck_case ~count:60 "link bounded = full CSR = boxed"
+    Test_util.qcheck_case ~count:60 "link bounded = full CSR = boxed oracle"
       Test_util.seed_gen link_kernel_prop;
-    Test_util.qcheck_case ~count:60 "node bounded = full CSR = boxed"
+    Test_util.qcheck_case ~count:60 "node bounded = full CSR = boxed oracle"
       Test_util.seed_gen node_kernel_prop;
     Test_util.qcheck_case ~count:60 "overflow is honest, retry recovers"
       Test_util.seed_gen overflow_recovery_prop;
-    Test_util.qcheck_case ~count:15 "link sessions agree under churn (pool 1)"
+    Test_util.qcheck_case ~count:15
+      "link sessions agree under churn with the oracle (pool 1)"
       Test_util.seed_gen
       (session_interleaving_prop ~domains:1);
-    Test_util.qcheck_case ~count:10 "link sessions agree under churn (pool 3)"
+    Test_util.qcheck_case ~count:10
+      "link sessions agree under churn with the oracle (pool 3)"
       Test_util.seed_gen
       (session_interleaving_prop ~domains:3);
-    Test_util.qcheck_case ~count:20 "node sessions agree under churn"
-      Test_util.seed_gen node_session_prop;
+    Test_util.qcheck_case ~count:20
+      "node sessions agree under churn with the oracle (pool 1)"
+      Test_util.seed_gen
+      (node_session_prop ~domains:1);
+    Test_util.qcheck_case ~count:10
+      "node sessions agree under churn with the oracle (pool 3)"
+      Test_util.seed_gen
+      (node_session_prop ~domains:3);
     Alcotest.test_case "tied unit-weight path forces the fallback" `Quick
       test_tied_path_forces_fallback;
     Alcotest.test_case "leaf relay: size-1 region, cut-vertex variant" `Quick

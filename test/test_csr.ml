@@ -5,10 +5,11 @@
      in-place weight edits, node growth, and detachment (the in-place
      maintenance and the lazy rebuild must be indistinguishable);
    - the CSR Dijkstra kernels (ban mask, key-only pops, scratch-owned
-     result) are [Float.equal]-identical to the boxed closure runs they
-     replace, which stay in the tree as the differential oracle;
-   - whole payment batches come out bit-identical whichever kernel the
-     session fans out, at pool sizes 1 and 3. *)
+     result) are [Float.equal]-identical to the boxed forbidden-node
+     oracle ([Oracle.link_dist]/[node_dist]);
+   - whole payment batches from the sessions' kernels (subtree-bounded,
+     with the full-CSR fallback) match the [Oracle] batches bit for bit
+     at pool sizes 1 and 3, edits included. *)
 
 open Wnet_graph
 module Rng = Wnet_prng.Rng
@@ -132,26 +133,20 @@ let egraph_csr_prop seed =
   done;
   floats_equal (Egraph.weights_view g) (Egraph.weights g)
 
-(* ---------------- CSR kernels ≡ boxed closure runs ---------------- *)
+(* ---------------- CSR kernels ≡ boxed oracle ---------------- *)
 
 let link_kernel_prop seed =
   let rng = Rng.create seed in
   let n = 4 + Rng.int rng 25 in
   let g = random_digraph rng ~n in
   let scratch = Dijkstra.make_scratch n in
-  let oracle = Dijkstra.make_scratch n in
   for _ = 1 to 5 do
     let source = Rng.int rng n in
     let avoid =
       let k = Rng.int rng n in
       if k = source then -1 else k
     in
-    let expect =
-      if avoid < 0 then Dijkstra.link_weighted_dist oracle g source
-      else
-        Dijkstra.link_weighted_dist oracle ~forbidden:(fun v -> v = avoid) g
-          source
-    in
+    let expect = Oracle.link_dist ~avoid g source in
     let got = Dijkstra.link_weighted_dist_csr scratch ~avoid g source in
     if not (floats_equal got expect) then
       QCheck2.Test.fail_reportf "CSR link kernel diverged from boxed oracle";
@@ -169,19 +164,13 @@ let node_kernel_prop seed =
   let g = Test_util.random_sparse_graph rng in
   let n = Graph.n g in
   let scratch = Dijkstra.make_scratch n in
-  let oracle = Dijkstra.make_scratch n in
   for _ = 1 to 5 do
     let source = Rng.int rng n in
     let avoid =
       let k = Rng.int rng n in
       if k = source then -1 else k
     in
-    let expect =
-      if avoid < 0 then Dijkstra.node_weighted_dist oracle g ~source
-      else
-        Dijkstra.node_weighted_dist oracle ~forbidden:(fun v -> v = avoid) g
-          ~source
-    in
+    let expect = Oracle.node_dist ~avoid g ~source in
     let got = Dijkstra.node_weighted_dist_csr scratch ~avoid g ~source in
     if not (floats_equal got expect) then
       QCheck2.Test.fail_reportf "CSR node kernel diverged from boxed oracle"
@@ -224,7 +213,7 @@ let avoiding_cost_prop seed =
     && not (Bytes.exists (fun c -> c <> '\000') (Dijkstra.ban_mask scratch))
   end
 
-(* ---------------- sessions: Csr vs Boxed payments ---------------- *)
+(* ---------------- batches and sessions vs the oracle ---------------- *)
 
 module LS = Wnet_session.Link_session
 module LC = Wnet_core.Link_cost
@@ -233,97 +222,62 @@ module U = Wnet_core.Unicast
 let link_batch_equal (a : LC.batch) (b : LC.batch) =
   a.LC.root = b.LC.root
   && floats_equal a.LC.to_root_dist b.LC.to_root_dist
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | None, None -> true
-         | Some (x : LC.t), Some (y : LC.t) ->
-           x.LC.path = y.LC.path
-           && Float.equal x.LC.lcp_cost y.LC.lcp_cost
-           && floats_equal x.LC.payments y.LC.payments
-         | _ -> false)
+  && Oracle.options_equal
+       (fun (x : LC.t) (y : LC.t) ->
+         x.LC.path = y.LC.path
+         && Float.equal x.LC.lcp_cost y.LC.lcp_cost
+         && Float.equal x.LC.relay_cost y.LC.relay_cost
+         && floats_equal x.LC.payments y.LC.payments)
        a.LC.results b.LC.results
+
+let node_batch_equal =
+  Oracle.options_equal (fun (x : U.t) (y : U.t) ->
+      x.U.path = y.U.path
+      && Float.equal x.U.lcp_cost y.U.lcp_cost
+      && floats_equal x.U.payments y.U.payments)
 
 let link_session_kernel_prop seed =
   let rng = Rng.create seed in
   let n = 6 + Rng.int rng 19 in
   let g = random_digraph rng ~n in
+  let oracle = Oracle.link_batch g ~root:0 in
   Wnet_par.with_pool ~domains:3 (fun pool ->
-      let batches =
-        List.map
-          (fun (pool, kernel) ->
-            match pool with
-            | None -> LC.all_to_root ~kernel g ~root:0
-            | Some pool -> LC.all_to_root ~pool ~kernel g ~root:0)
-          [ (None, `Csr); (None, `Boxed); (Some pool, `Csr); (Some pool, `Boxed) ]
-      in
-      match batches with
-      | b :: rest ->
-        if not (List.for_all (link_batch_equal b) rest) then
-          QCheck2.Test.fail_reportf
-            "link payments differ across kernels/pool sizes";
-        true
-      | [] -> false)
+      if
+        not
+          (link_batch_equal oracle (LC.all_to_root g ~root:0)
+          && link_batch_equal oracle (LC.all_to_root ~pool g ~root:0))
+      then
+        QCheck2.Test.fail_reportf "link payments differ from the oracle batch";
+      true)
 
 let node_session_kernel_prop seed =
   let rng = Rng.create seed in
   let g = Test_util.random_ring_graph rng in
+  let oracle = Oracle.node_batch g ~root:0 in
   Wnet_par.with_pool ~domains:3 (fun pool ->
-      let outcomes_equal a b =
-        Array.for_all2
-          (fun x y ->
-            match (x, y) with
-            | None, None -> true
-            | Some (x : U.t), Some (y : U.t) ->
-              x.U.path = y.U.path
-              && Float.equal x.U.lcp_cost y.U.lcp_cost
-              && floats_equal x.U.payments y.U.payments
-            | _ -> false)
-          a b
-      in
-      let base = U.all_to_root ~kernel:`Csr g ~root:0 in
-      List.for_all
-        (fun r -> outcomes_equal base r)
-        [
-          U.all_to_root ~kernel:`Boxed g ~root:0;
-          U.all_to_root ~pool ~kernel:`Csr g ~root:0;
-          U.all_to_root ~pool ~kernel:`Boxed g ~root:0;
-        ])
+      node_batch_equal oracle (U.all_to_root g ~root:0)
+      && node_batch_equal oracle (U.all_to_root ~pool g ~root:0))
 
-(* Edited sessions: the kernel choice must stay invisible through a
-   burst of edits (cache repair fills misses with whichever kernel). *)
+(* Edited sessions: cache repair and cache-miss fills must stay
+   invisible through a burst of edits. *)
 let link_session_edit_kernel_prop seed =
   let rng = Rng.create seed in
   let n = 6 + Rng.int rng 15 in
   let g = random_digraph rng ~n in
-  let s_csr = LS.create g ~root:0 in
-  let s_box = LS.create ~kernel:`Boxed g ~root:0 in
-  let batches_equal () =
-    let a = LS.payments s_csr and b = LS.payments s_box in
-    floats_equal a.LS.to_root_dist b.LS.to_root_dist
-    && Array.for_all2
-         (fun x y ->
-           match (x, y) with
-           | None, None -> true
-           | Some (x : LS.outcome), Some (y : LS.outcome) ->
-             x.LS.path = y.LS.path && floats_equal x.LS.payments y.LS.payments
-           | _ -> false)
-         a.LS.results b.LS.results
+  let s = LS.create g ~root:0 in
+  let matches () =
+    Oracle.link_matches (LS.payments s)
+      (Oracle.link_batch (LS.snapshot s) ~root:0)
   in
-  if not (batches_equal ()) then
-    QCheck2.Test.fail_reportf "initial batches differ";
+  if not (matches ()) then QCheck2.Test.fail_reportf "initial batch differs";
   for _ = 1 to 8 do
     let u = Rng.int rng n and v = Rng.int rng n in
-    if u <> v then begin
-      let w =
-        if Rng.bernoulli rng 0.2 then infinity
-        else Rng.float_range rng 0.5 10.0
-      in
-      LS.set_cost s_csr u v w;
-      LS.set_cost s_box u v w
-    end;
-    if not (batches_equal ()) then
-      QCheck2.Test.fail_reportf "batches diverged after edit"
+    if u <> v then
+      LS.set_cost s u v
+        (if Rng.bernoulli rng 0.2 then infinity
+         else Rng.float_range rng 0.5 10.0);
+    if not (matches ()) then
+      QCheck2.Test.fail_reportf "batch diverged from the oracle after edit"
   done;
   true
 
@@ -345,10 +299,13 @@ let suite =
       test_banned_source_rejected;
     Test_util.qcheck_case ~count:60 "avoiding_cost scratch = tree run"
       Test_util.seed_gen avoiding_cost_prop;
-    Test_util.qcheck_case ~count:20 "link payments: kernels x pools identical"
+    Test_util.qcheck_case ~count:20
+      "link payments: kernels x pools = clone-per-relay oracle"
       Test_util.seed_gen link_session_kernel_prop;
-    Test_util.qcheck_case ~count:20 "node payments: kernels x pools identical"
+    Test_util.qcheck_case ~count:20
+      "node payments: kernels x pools = boxed oracle batch"
       Test_util.seed_gen node_session_kernel_prop;
-    Test_util.qcheck_case ~count:20 "link sessions: kernels agree under edits"
+    Test_util.qcheck_case ~count:20
+      "link sessions: kernels agree under edits with the oracle"
       Test_util.seed_gen link_session_edit_kernel_prop;
   ]

@@ -306,8 +306,8 @@ let test_link_cost_zero_copy_equals_copy () =
   for _ = 1 to 6 do
     let inst = Wnet_topology.Random_range.paper_instance r ~n:60 ~kappa:2.0 in
     let g = inst.Wnet_topology.Random_range.graph in
-    let copy = Link_cost.all_to_root ~strategy:Link_cost.Copy_graph g ~root:0 in
-    let zero = Link_cost.all_to_root ~strategy:Link_cost.Zero_copy g ~root:0 in
+    let copy = Oracle.link_batch g ~root:0 in
+    let zero = Link_cost.all_to_root g ~root:0 in
     Alcotest.(check bool) "zero-copy bit-identical to graph-copy" true
       (link_batch_equal copy zero)
   done
@@ -377,7 +377,7 @@ let test_scratch_reuse_matches_fresh () =
     let g = Test_util.random_ring_graph ~max_n:40 r in
     let n = Wnet_graph.Graph.n g in
     let fresh = Wnet_graph.Dijkstra.node_weighted g ~source:0 in
-    let reused = Wnet_graph.Dijkstra.node_weighted_dist scratch g ~source:0 in
+    let reused = Wnet_graph.Dijkstra.node_weighted_dist_csr scratch g ~source:0 in
     for v = 0 to n - 1 do
       check_exact
         (Printf.sprintf "dist %d" v)

@@ -5,7 +5,7 @@
    with payment collections and checks the socket replies three ways:
    textually bit-identical to an in-process mirror session driven
    through the same Wnet_proto.handle (the stdin path), bit-identical
-   ([Float.equal]) to the from-scratch Copy_graph oracle on a tracked
+   ([Float.equal]) to the from-scratch clone-per-relay oracle on a tracked
    model digraph, and — via the stats counters — that every round's
    4-edit burst folded into exactly ONE invalidation pass. *)
 
@@ -206,7 +206,7 @@ let test_concurrent_clients () =
     Alcotest.(check (list string))
       (Printf.sprintf "round %d: socket pay = stdin-path pay, textually" r)
       mirror_lines pay_rounds.(r);
-    let oracle = LC.all_to_root ~strategy:LC.Copy_graph model ~root:0 in
+    let oracle = Oracle.link_batch model ~root:0 in
     List.iter
       (fun line ->
         match P.parse_response line with

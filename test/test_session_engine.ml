@@ -2,16 +2,14 @@
    sessions): after ANY sequence of topology deltas, the incrementally
    maintained batch must be bit-identical — [Float.equal], including
    [infinity] payments at cut vertices — to a from-scratch batch on the
-   edited graph, at every pool size.  The link-model oracle is
-   [Link_cost.all_to_root ~strategy:Copy_graph], the original
-   clone-per-relay implementation that shares no code with the session;
-   the node-model oracle is a fresh one-shot [Unicast.all_to_root]. *)
+   edited graph, at pool sizes 1 and 3.  Both oracles live in
+   [Oracle] and share no code with the sessions: the link model's is
+   the clone-per-relay batch, the node model's the node-weighted tree
+   plus a boxed forbidden-node Dijkstra per relay. *)
 
 open Wnet_graph
 module LS = Wnet_session.Link_session
 module NS = Wnet_session.Node_session
-module LC = Wnet_core.Link_cost
-module U = Wnet_core.Unicast
 module Par = Wnet_par
 module Rng = Wnet_prng.Rng
 
@@ -22,27 +20,6 @@ let check_exact = Alcotest.check float_exact
 
 let floats_equal a b =
   Array.length a = Array.length b && Array.for_all2 Float.equal a b
-
-(* ---------------- link model: batch comparators ---------------- *)
-
-let link_outcome_matches (x : LS.outcome) (y : LC.t) =
-  x.LS.src = y.LC.src
-  && x.LS.path = y.LC.path
-  && Float.equal x.LS.lcp_cost y.LC.lcp_cost
-  && Float.equal x.LS.relay_cost y.LC.relay_cost
-  && floats_equal x.LS.payments y.LC.payments
-
-let link_matches_oracle (b : LS.batch) (o : LC.batch) =
-  b.LS.root = o.LC.root
-  && floats_equal b.LS.to_root_dist o.LC.to_root_dist
-  && Array.length b.LS.results = Array.length o.LC.results
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | None, None -> true
-         | Some x, Some y -> link_outcome_matches x y
-         | _ -> false)
-       b.LS.results o.LC.results
 
 let link_batches_equal (a : LS.batch) (b : LS.batch) =
   a.LS.root = b.LS.root
@@ -59,19 +36,6 @@ let link_batches_equal (a : LS.batch) (b : LS.batch) =
            && floats_equal x.LS.payments y.LS.payments
          | _ -> false)
        a.LS.results b.LS.results
-
-(* Relays the oracle charges [infinity] for — what [unbounded_relays]
-   must report. *)
-let oracle_unbounded (o : LC.batch) =
-  let nn = Array.length o.LC.results in
-  let cut = Array.make nn false in
-  Array.iter
-    (function
-      | None -> ()
-      | Some (r : LC.t) ->
-        Array.iteri (fun k p -> if p = infinity then cut.(k) <- true) r.LC.payments)
-    o.LC.results;
-  List.filter (fun k -> cut.(k)) (List.init nn Fun.id)
 
 (* ---------------- link model: random instances and edits ---------------- *)
 
@@ -144,79 +108,30 @@ let link_equiv_prop seed =
   Par.with_pool ~domains:3 (fun pool ->
       let s_seq = LS.create g ~root:0 in
       let s_par = LS.create ~pool g ~root:0 in
-      let s_drop = LS.create ~pool ~dynamic:false g ~root:0 in
       let check label =
         let b_seq = LS.payments s_seq in
         let b_par = LS.payments s_par in
-        let b_drop = LS.payments s_drop in
-        if not (link_batches_equal b_seq b_par) then
-          QCheck2.Test.fail_reportf "%s: pooled batch differs from sequential"
-            label;
-        if not (link_batches_equal b_seq b_drop) then
+        let oracle = Oracle.link_batch (LS.snapshot s_seq) ~root:0 in
+        if not (Oracle.link_matches b_seq oracle) then
           QCheck2.Test.fail_reportf
-            "%s: dynamic-repair batch differs from drop-invalidation batch"
+            "%s: sequential batch differs from the clone-per-relay oracle"
             label;
-        let oracle =
-          LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s_seq) ~root:0
-        in
-        if not (link_matches_oracle b_seq oracle) then
+        if not (Oracle.link_matches b_par oracle) then
           QCheck2.Test.fail_reportf
-            "%s: incremental batch differs from from-scratch Copy_graph oracle"
-            label;
-        if LS.unbounded_relays s_seq <> oracle_unbounded oracle then
+            "%s: pooled batch differs from the clone-per-relay oracle" label;
+        if LS.unbounded_relays s_seq <> Oracle.link_unbounded oracle then
           QCheck2.Test.fail_reportf "%s: unbounded relay set differs" label
       in
       check "initial";
-      let r_seq = Rng.create oseed
-      and r_par = Rng.create oseed
-      and r_drop = Rng.create oseed in
+      let r_seq = Rng.create oseed and r_par = Rng.create oseed in
       for i = 1 to nops do
         apply_random_op r_seq s_seq;
         apply_random_op r_par s_par;
-        apply_random_op r_drop s_drop;
         check (Printf.sprintf "after op %d" i)
       done;
       true)
 
 (* ---------------- node model: oracle comparison ---------------- *)
-
-let node_matches (x : NS.outcome option array) (y : U.t option array) =
-  Array.length x = Array.length y
-  && Array.for_all2
-       (fun a b ->
-         match (a, b) with
-         | None, None -> true
-         | Some (a : NS.outcome), Some (b : U.t) ->
-           a.NS.src = b.U.src && a.NS.path = b.U.path
-           && Float.equal a.NS.lcp_cost b.U.lcp_cost
-           && floats_equal a.NS.payments b.U.payments
-         | _ -> false)
-       x y
-
-let node_sessions_equal (x : NS.outcome option array) (y : NS.outcome option array)
-    =
-  Array.length x = Array.length y
-  && Array.for_all2
-       (fun a b ->
-         match (a, b) with
-         | None, None -> true
-         | Some (a : NS.outcome), Some (b : NS.outcome) ->
-           a.NS.src = b.NS.src && a.NS.path = b.NS.path
-           && Float.equal a.NS.lcp_cost b.NS.lcp_cost
-           && floats_equal a.NS.payments b.NS.payments
-         | _ -> false)
-       x y
-
-let node_oracle_unbounded (y : U.t option array) =
-  let nn = Array.length y in
-  let cut = Array.make nn false in
-  Array.iter
-    (function
-      | None -> ()
-      | Some (r : U.t) ->
-        Array.iteri (fun k p -> if p = infinity then cut.(k) <- true) r.U.payments)
-    y;
-  List.filter (fun k -> cut.(k)) (List.init nn Fun.id)
 
 let apply_random_node_op rng s =
   let nn = NS.n s in
@@ -239,33 +154,22 @@ let node_equiv_prop seed =
   Par.with_pool ~domains:3 (fun pool ->
       let s_seq = NS.create g ~root:0 in
       let s_par = NS.create ~pool g ~root:0 in
-      let s_drop = NS.create ~pool ~dynamic:false g ~root:0 in
       let check label =
-        let a = NS.payments s_seq in
-        let b = NS.payments s_par in
-        let c = NS.payments s_drop in
-        if not (node_sessions_equal a b) then
-          QCheck2.Test.fail_reportf "%s: pooled batch differs from sequential"
-            label;
-        if not (node_sessions_equal a c) then
+        let oracle = Oracle.node_batch (NS.graph s_seq) ~root:0 in
+        if not (Oracle.node_matches (NS.payments s_seq) oracle) then
           QCheck2.Test.fail_reportf
-            "%s: dynamic-repair batch differs from drop-invalidation batch"
-            label;
-        let oracle = U.all_to_root (NS.graph s_seq) ~root:0 in
-        if not (node_matches a oracle) then
+            "%s: sequential batch differs from the boxed oracle batch" label;
+        if not (Oracle.node_matches (NS.payments s_par) oracle) then
           QCheck2.Test.fail_reportf
-            "%s: incremental batch differs from fresh all_to_root" label;
-        if NS.unbounded_relays s_seq <> node_oracle_unbounded oracle then
+            "%s: pooled batch differs from the boxed oracle batch" label;
+        if NS.unbounded_relays s_seq <> Oracle.node_unbounded oracle then
           QCheck2.Test.fail_reportf "%s: unbounded relay set differs" label
       in
       check "initial";
-      let r_seq = Rng.create oseed
-      and r_par = Rng.create oseed
-      and r_drop = Rng.create oseed in
+      let r_seq = Rng.create oseed and r_par = Rng.create oseed in
       for i = 1 to nops do
         apply_random_node_op r_seq s_seq;
         apply_random_node_op r_par s_par;
-        apply_random_node_op r_drop s_drop;
         check (Printf.sprintf "after op %d" i)
       done;
       true)
@@ -326,9 +230,9 @@ let test_selective_invalidation () =
   Alcotest.(check int) "memoized batch does no work" st2.LS.avoid_reused
     (LS.stats s).LS.avoid_reused;
   (* the incremental answer is still the from-scratch answer *)
-  let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
+  let oracle = Oracle.link_batch (LS.snapshot s) ~root:0 in
   Alcotest.(check bool) "still matches the oracle" true
-    (link_matches_oracle b oracle)
+    (Oracle.link_matches b oracle)
 
 (* Inserting forward link 3 -> 2 gives node 3 a second root-side path of
    bit-identical cost 2.0 with a different next hop: from-scratch
@@ -349,9 +253,9 @@ let test_tie_triggers_fallback () =
     (st1.LS.fallback_recomputes + 1) st2.LS.fallback_recomputes;
   Alcotest.(check int) "the fallback recomputed the shared tree"
     (st1.LS.spt_runs + 1) st2.LS.spt_runs;
-  let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
+  let oracle = Oracle.link_batch (LS.snapshot s) ~root:0 in
   Alcotest.(check bool) "payments still match the oracle after fallback" true
-    (link_matches_oracle b oracle)
+    (Oracle.link_matches b oracle)
 
 (* Chain 2 -> 1 -> 0: relay 1 is a monopoly (cut vertex), so its payment
    is unbounded — until an alternate route appears. *)
@@ -425,9 +329,9 @@ let test_coalesced_burst () =
     (st0.LS.inval_passes + 1) st2.LS.inval_passes;
   Alcotest.(check int) "every burst edit counted coalesced"
     (st0.LS.coalesced_edits + 3) st2.LS.coalesced_edits;
-  let oracle = LC.all_to_root ~strategy:LC.Copy_graph (LS.snapshot s) ~root:0 in
+  let oracle = Oracle.link_batch (LS.snapshot s) ~root:0 in
   Alcotest.(check bool) "coalesced burst still matches the oracle" true
-    (link_matches_oracle b oracle)
+    (Oracle.link_matches b oracle)
 
 (* A burst that nets out to nothing (edit then revert, [Float.equal])
    must cost zero passes and leave the batch bit-identical. *)
@@ -481,9 +385,9 @@ let test_node_coalesced_burst () =
     (st0.NS.inval_passes + 1) st1.NS.inval_passes;
   Alcotest.(check int) "node burst edits counted coalesced"
     (st0.NS.coalesced_edits + 3) st1.NS.coalesced_edits;
-  let oracle = U.all_to_root (NS.graph s) ~root:0 in
-  Alcotest.(check bool) "node burst still matches the fresh batch" true
-    (node_matches b oracle)
+  let oracle = Oracle.node_batch (NS.graph s) ~root:0 in
+  Alcotest.(check bool) "node burst still matches the oracle batch" true
+    (Oracle.node_matches b oracle)
 
 (* ---------------- pool plumbing the sessions rely on ---------------- *)
 
@@ -525,9 +429,9 @@ let suite =
     Alcotest.test_case "map_array_pooled caller-owned states" `Quick
       test_map_array_pooled;
     Test_util.qcheck_case ~count:60
-      "link session: random edit sequences = Copy_graph oracle (bits)"
+      "link session: random edit sequences = clone-per-relay oracle (bits)"
       Test_util.seed_gen link_equiv_prop;
     Test_util.qcheck_case ~count:60
-      "node session: random edit sequences = fresh batch (bits)"
+      "node session: random edit sequences = boxed oracle batch (bits)"
       Test_util.seed_gen node_equiv_prop;
   ]
