@@ -1,5 +1,6 @@
 .PHONY: all test bench microbench microbench-smoke smoke smoke-shard \
-	dsim-smoke check check-quick experiments full clean clean-bench
+	dsim-smoke no-node-copies check check-quick experiments full clean \
+	clean-bench
 
 all:
 	dune build @all
@@ -65,17 +66,26 @@ dsim-smoke:
 	dune exec --no-build bin/unicast.exe -- dsim -n 200 --seed 7 --scenario costshare --oracle
 	dune exec --no-build bin/unicast.exe -- dsim -n 200 --seed 7 --scenario costshare --mode async --oracle
 
+# The node model runs on the link engine (Node_session adapts a
+# Link_session over Digraph.of_node_costs); fail if a node-only copy of
+# a graph kernel creeps back into the library or the CLI.
+no-node-copies:
+	@if grep -rnE 'repair_node_dist|node_edit|(settle|reseed)_node|node_avoid|node_weighted_dist_csr' lib bin; then \
+	  echo "node-model kernel copies are back: use the link kernels" >&2; \
+	  exit 1; \
+	fi
+
 # The whole bar: build, tier-1 tests, socket smoke, then the gated
 # benchmark run.
 check: all test smoke smoke-shard bench
 
-# The fast bar for CI and pre-push: build, tier-1 tests, the socket
-# smoke, the micro-suite smoke (allocation assertions, no timing), and
-# the dsim oracle smoke — everything deterministic, nothing
-# wall-clock-gated.  The timing-sensitive `bench` gate stays out: it
+# The fast bar for CI and pre-push: the node-copy guard, build, tier-1
+# tests, the socket smoke, the micro-suite smoke (allocation assertions,
+# no timing), and the dsim oracle smoke — everything deterministic,
+# nothing wall-clock-gated.  The timing-sensitive `bench` gate stays out: it
 # needs a quiet machine and a previous BENCH_latest.json to compare
 # against.
-check-quick: all test smoke smoke-shard microbench-smoke dsim-smoke
+check-quick: no-node-copies all test smoke smoke-shard microbench-smoke dsim-smoke
 
 experiments:
 	dune exec bench/main.exe -- experiments

@@ -72,20 +72,19 @@ let mark_subtree ds ~budget idx k =
   done;
   !ok
 
-let check ~what ~n idx (tree : Dijkstra.tree) ~avoid ~dist =
-  if idx.idx_n <> n || Array.length tree.Dijkstra.dist <> n then
-    invalid_arg (what ^ ": index/tree do not match the graph");
-  if avoid < 0 || avoid >= n then invalid_arg (what ^ ": avoid out of range");
-  if avoid = tree.Dijkstra.source then
-    invalid_arg (what ^ ": cannot avoid the source");
-  if Array.length dist < n then invalid_arg (what ^ ": dist too short")
-
 let link_avoid ds ?budget idx ~graph ~mirror ~tree ~avoid:k ~dist:d =
   let n = Digraph.n graph in
   let budget =
     match budget with Some b -> b | None -> Dynamic_sssp.default_budget n
   in
-  check ~what:"Avoid_region.link_avoid" ~n idx tree ~avoid:k ~dist:d;
+  if idx.idx_n <> n || Array.length tree.Dijkstra.dist <> n then
+    invalid_arg "Avoid_region.link_avoid: index/tree do not match the graph";
+  if k < 0 || k >= n then
+    invalid_arg "Avoid_region.link_avoid: avoid out of range";
+  if k = tree.Dijkstra.source then
+    invalid_arg "Avoid_region.link_avoid: cannot avoid the source";
+  if Array.length d < n then
+    invalid_arg "Avoid_region.link_avoid: dist too short";
   Dynamic_sssp.region_begin ds n;
   Array.blit tree.Dijkstra.dist 0 d 0 n;
   d.(k) <- infinity;
@@ -94,27 +93,6 @@ let link_avoid ds ?budget idx ~graph ~mirror ~tree ~avoid:k ~dist:d =
     Dynamic_sssp.region_wipe ds ~dist:d;
     Dynamic_sssp.region_reseed_link ds ~forbidden:k ~mirror ~dist:d;
     if Dynamic_sssp.region_settle_link ds ~budget ~forbidden:k ~graph ~dist:d
-    then Dynamic_sssp.region_size ds
-    else -1
-  end
-
-let node_avoid ds ?budget idx ~graph ~tree ~avoid:k ~dist:d =
-  let n = Graph.n graph in
-  let budget =
-    match budget with Some b -> b | None -> Dynamic_sssp.default_budget n
-  in
-  check ~what:"Avoid_region.node_avoid" ~n idx tree ~avoid:k ~dist:d;
-  let source = tree.Dijkstra.source in
-  Dynamic_sssp.region_begin ds n;
-  Array.blit tree.Dijkstra.dist 0 d 0 n;
-  d.(k) <- infinity;
-  if not (mark_subtree ds ~budget idx k) then -1
-  else begin
-    Dynamic_sssp.region_wipe ds ~dist:d;
-    Dynamic_sssp.region_reseed_node ds ~forbidden:k ~graph ~source ~dist:d;
-    if
-      Dynamic_sssp.region_settle_node ds ~budget ~forbidden:k ~graph ~source
-        ~dist:d
     then Dynamic_sssp.region_size ds
     else -1
   end

@@ -50,15 +50,3 @@ val link_avoid :
     variant) so the call allocates nothing.
     @raise Invalid_argument if sizes disagree, [avoid] is out of range,
     or [avoid = tree.source]. *)
-
-val node_avoid :
-  Dynamic_sssp.dist_scratch ->
-  ?budget:int ->
-  index ->
-  graph:Graph.t ->
-  tree:Dijkstra.tree ->
-  avoid:int ->
-  dist:float array ->
-  int
-(** Node-weighted analogue: matches [Dijkstra.node_weighted_dist_csr
-    ~avoid:k graph tree.source] bit for bit.  Same contract. *)

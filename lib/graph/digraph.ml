@@ -77,8 +77,42 @@ let links g =
     g.out_adj;
   List.sort compare !acc
 
+(* One counting pass: size each reversed row by in-degree, then scan the
+   tails in increasing order, so every row fills already sorted. *)
 let reverse g =
-  create ~n:(n g) ~links:(List.map (fun (u, v, w) -> (v, u, w)) (links g))
+  let n = n g in
+  let deg = Array.make n 0 in
+  Array.iter (Array.iter (fun (v, _) -> deg.(v) <- deg.(v) + 1)) g.out_adj;
+  let out_adj = Array.init n (fun v -> Array.make deg.(v) (0, 0.0)) in
+  let fill = Array.make n 0 in
+  Array.iteri
+    (fun u row ->
+      Array.iter
+        (fun (v, w) ->
+          out_adj.(v).(fill.(v)) <- (u, w);
+          fill.(v) <- fill.(v) + 1)
+        row)
+    g.out_adj;
+  { out_adj; m = g.m; version = 0; csr_cache = no_csr; csr_version = -1 }
+
+let of_node_costs gr ~root =
+  let n = Graph.n gr in
+  if root < 0 || root >= n then
+    invalid_arg "Digraph.of_node_costs: root out of range";
+  (* every arc into [b] is the same immutable pair: share one per node *)
+  let into =
+    Array.init n (fun b -> (b, if b = root then 0.0 else Graph.cost gr b))
+  in
+  let out_adj =
+    Array.init n (fun a -> Array.map (Array.get into) (Graph.neighbors gr a))
+  in
+  {
+    out_adj;
+    m = 2 * Graph.m gr;
+    version = 0;
+    csr_cache = no_csr;
+    csr_version = -1;
+  }
 
 let owner_of_link u _v = u
 

@@ -39,6 +39,16 @@ val reverse : t -> t
     shortest paths from every node {e to} a fixed root (the access
     point). *)
 
+val of_node_costs : Graph.t -> root:int -> t
+(** [of_node_costs g ~root] is the node-cost model (Sec. II) as link
+    weights: an arc [a -> b] for every edge of [g], in both directions,
+    weighing [Graph.cost g b], or [0.0] when [b = root].  On its
+    {!reverse}, a link-weighted Dijkstra from [root] relaxes exactly
+    [dist u +. cost u] ([+. 0.0] out of the root) over rows in the same
+    order as [g]'s, so distances, tie order and trees are bit-identical
+    to [Dijkstra.node_weighted g ~source:root].
+    @raise Invalid_argument if [root] is out of range. *)
+
 val owner_of_link : int -> int -> int
 (** [owner_of_link u v] is the agent that pays for link [u -> v] — the
     transmitter [u].  Trivial, but kept as the single point of truth for

@@ -211,13 +211,6 @@ let link_weighted_scratch scratch g source =
   done;
   dist
 
-let node_weighted_dist_csr scratch ?(avoid = -1) g ~source =
-  let n = Graph.n g in
-  if avoid >= 0 then Bytes.set scratch.sban avoid '\001';
-  let dist = node_weighted_scratch scratch g ~source in
-  if avoid >= 0 then Bytes.set scratch.sban avoid '\000';
-  Array.sub dist 0 n
-
 let link_weighted_dist_csr scratch ?(avoid = -1) g source =
   let n = Digraph.n g in
   if avoid >= 0 then Bytes.set scratch.sban avoid '\001';

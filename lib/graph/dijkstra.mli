@@ -73,17 +73,14 @@ val link_weighted_scratch : scratch -> Digraph.t -> int -> float array
 (** [link_weighted_scratch scratch g source] is the link-weighted
     analogue of {!node_weighted_scratch}. *)
 
-val node_weighted_dist_csr :
-  scratch -> ?avoid:int -> Graph.t -> source:int -> float array
-(** [node_weighted_dist_csr scratch ~avoid g ~source] runs the CSR
-    kernel with only [avoid] banned (in addition to any bytes the caller
-    already set) and returns a {e fresh} copy of the first [Graph.n g]
-    distances — [(node_weighted ~forbidden:(fun v -> v = avoid) g
-    ~source).dist], computed through [scratch]. *)
-
 val link_weighted_dist_csr :
   scratch -> ?avoid:int -> Digraph.t -> int -> float array
-(** Link-weighted analogue of {!node_weighted_dist_csr}. *)
+(** [link_weighted_dist_csr scratch ~avoid g source] runs the CSR
+    kernel with only [avoid] banned (in addition to any bytes the caller
+    already set) and returns a {e fresh} copy of the first [Digraph.n g]
+    distances — [(link_weighted ~forbidden:(fun v -> v = avoid) g
+    source).dist], computed through [scratch].  The node model runs it
+    on the reverse of {!Digraph.of_node_costs}. *)
 
 val path_to : tree -> int -> Path.t option
 (** [path_to t v] is the tree path [source; ...; v], or [None] when

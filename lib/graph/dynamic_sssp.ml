@@ -157,51 +157,6 @@ let settle_link s ~budget ~j ~g_off ~g_col ~g_wgt d =
     done
   done
 
-(* Node-weighted twins: adjacency is symmetric (in-links = out-links =
-   the CSR row), and leaving node [x] costs its relay cost (0 from the
-   source). *)
-let reseed_node s ~j ~row_off ~col ~cost ~source d =
-  let heap = s.heap in
-  let prio = Indexed_heap.prios heap in
-  for k = 0 to s.n_region - 1 do
-    let x = s.region.(k) in
-    for i = row_off.(x) to row_off.(x + 1) - 1 do
-      let p = Array.unsafe_get col i in
-      if p <> j && s.mark.(p) <> s.epoch then begin
-        let dp = d.(p) in
-        if dp < infinity then begin
-          let leave = if p = source then 0.0 else Array.unsafe_get cost p in
-          let cand = dp +. leave in
-          if cand < d.(x) then begin
-            d.(x) <- cand;
-            prio.(x) <- cand;
-            Indexed_heap.touch heap x
-          end
-        end
-      end
-    done
-  done
-
-let settle_node s ~budget ~j ~row_off ~col ~cost ~source d =
-  let heap = s.heap in
-  let prio = Indexed_heap.prios heap in
-  while not (Indexed_heap.is_empty heap) do
-    let x = Indexed_heap.pop_min_key heap in
-    let dx = d.(x) in
-    smark s ~budget x;
-    let leave = if x = source then 0.0 else Array.unsafe_get cost x in
-    let cand = dx +. leave in
-    for i = row_off.(x) to row_off.(x + 1) - 1 do
-      let y = Array.unsafe_get col i in
-      if y <> j then
-        if cand < d.(y) then begin
-          d.(y) <- cand;
-          prio.(y) <- cand;
-          Indexed_heap.touch heap y
-        end
-    done
-  done
-
 let region_reseed_link s ~forbidden ~mirror ~dist =
   let { Digraph.row_off; col; wgt } = Digraph.csr mirror in
   reseed_link s ~j:forbidden ~m_off:row_off ~m_col:col ~m_wgt:wgt dist
@@ -209,18 +164,6 @@ let region_reseed_link s ~forbidden ~mirror ~dist =
 let region_settle_link s ~budget ~forbidden ~graph ~dist =
   let { Digraph.row_off; col; wgt } = Digraph.csr graph in
   match settle_link s ~budget ~j:forbidden ~g_off:row_off ~g_col:col ~g_wgt:wgt dist with
-  | () -> true
-  | exception Overflow -> false
-
-let region_reseed_node s ~forbidden ~graph ~source ~dist =
-  let { Graph.row_off; col } = Graph.csr graph in
-  let cost = Graph.costs_view graph in
-  reseed_node s ~j:forbidden ~row_off ~col ~cost ~source dist
-
-let region_settle_node s ~budget ~forbidden ~graph ~source ~dist =
-  let { Graph.row_off; col } = Graph.csr graph in
-  let cost = Graph.costs_view graph in
-  match settle_node s ~budget ~j:forbidden ~row_off ~col ~cost ~source dist with
   | () -> true
   | exception Overflow -> false
 
@@ -251,7 +194,9 @@ let repair_dist s ?budget ?(forbidden = -1) ~graph ~mirror ~source ~dist:d
     (* 1. increase-affected closure: nodes whose old label was realised
        (possibly as a tie) through a risen link, transitively.  Old
        weights apply: edited out-links are chased through the edit list
-       (deleted ones are no longer in the graph at all). *)
+       (deleted ones are no longer in the graph at all).  The float test
+       runs before the [edited] list walk: a node-cost edit arrives as
+       one link edit per neighbour, and both tests are pure. *)
     List.iter
       (fun e ->
         if
@@ -268,8 +213,9 @@ let repair_dist s ?budget ?(forbidden = -1) ~graph ~mirror ~source ~dist:d
         for i = g_off.(x) to g_off.(x + 1) - 1 do
           let y = Array.unsafe_get g_col i in
           if
-            y <> j && y <> source && (not (marked y)) && (not (edited x y))
+            y <> j && y <> source && (not (marked y))
             && Float.equal (dx +. Array.unsafe_get g_wgt i) d.(y)
+            && not (edited x y)
           then smark s ~budget y
         done;
         List.iter
@@ -302,86 +248,6 @@ let repair_dist s ?budget ?(forbidden = -1) ~graph ~mirror ~source ~dist:d
       edits;
     (* 4. bounded-frontier Dijkstra over the region *)
     settle_link s ~budget ~j ~g_off ~g_col ~g_wgt d;
-    `Patched s.n_region
-  with Overflow -> `Overflow
-
-(* Node-weighted variant: leaving [x] costs its relay cost (0 from the
-   source), adjacency is symmetric, and the edits are node-cost
-   changes.  A node's own label never depends on its own cost, so an
-   edit on [x] seeds [x]'s neighbours, not [x]. *)
-
-type node_edit = { x : int; nbrs : int array; c0 : float; c1 : float }
-
-let repair_node_dist s ?budget ?(forbidden = -1) ~graph ~source ~dist:d
-    edits =
-  let n = Graph.n graph in
-  let budget = match budget with Some b -> b | None -> default_budget n in
-  if Array.length d < n then
-    invalid_arg
-      "Dynamic_sssp.repair_node_dist: dist array shorter than the graph";
-  begin_dist_run s n;
-  let { Graph.row_off; col } = Graph.csr graph in
-  let j = forbidden in
-  let edits =
-    List.filter
-      (fun e -> e.x <> j && e.x <> source && not (Float.equal e.c0 e.c1))
-      edits
-  in
-  let marked x = s.mark.(x) = s.epoch in
-  let old_cost x =
-    match List.find_opt (fun e -> e.x = x) edits with
-    | Some e -> e.c0
-    | None -> Graph.cost graph x
-  in
-  let leave_old x = if x = source then 0.0 else old_cost x in
-  try
-    List.iter
-      (fun e ->
-        if e.c1 > e.c0 && d.(e.x) < infinity then
-          Array.iter
-            (fun y ->
-              if
-                y <> j && y <> source && (not (marked y))
-                && Float.equal (d.(e.x) +. e.c0) d.(y)
-              then smark s ~budget y)
-            e.nbrs)
-      edits;
-    let i = ref 0 in
-    while !i < s.n_region do
-      let x = s.region.(!i) in
-      incr i;
-      let dx = d.(x) in
-      if dx < infinity then begin
-        let lo = leave_old x in
-        for i = row_off.(x) to row_off.(x + 1) - 1 do
-          let y = Array.unsafe_get col i in
-          if
-            y <> j && y <> source && (not (marked y))
-            && Float.equal (dx +. lo) d.(y)
-          then smark s ~budget y
-        done
-      end
-    done;
-    region_wipe s ~dist:d;
-    let cost = Graph.costs_view graph in
-    reseed_node s ~j ~row_off ~col ~cost ~source d;
-    let prio = Indexed_heap.prios s.heap in
-    List.iter
-      (fun e ->
-        if e.c1 < e.c0 && (not (marked e.x)) && d.(e.x) < infinity then
-          Array.iter
-            (fun y ->
-              if y <> j then begin
-                let cand = d.(e.x) +. e.c1 in
-                if cand < d.(y) then begin
-                  d.(y) <- cand;
-                  prio.(y) <- cand;
-                  Indexed_heap.touch s.heap y
-                end
-              end)
-            e.nbrs)
-      edits;
-    settle_node s ~budget ~j ~row_off ~col ~cost ~source d;
     `Patched s.n_region
   with Overflow -> `Overflow
 

@@ -9,9 +9,8 @@
     - {!apply}: repair a full shortest-path {e tree} (distances and
       parents) over a mutable {!Digraph} — the session's shared
       reversed SPT;
-    - {!repair_dist}/{!repair_node_dist}: repair a caller-owned
-      distance-only array (no parents) — the session's per-relay
-      avoidance caches.
+    - {!repair_dist}: repair a caller-owned distance-only array (no
+      parents) — the session's per-relay avoidance caches.
 
     {b Exactness contract.}  A successful repair leaves the structure
     {e bit-identical} ([Float.equal] on every distance, [=] on every
@@ -90,7 +89,7 @@ val rebuild : t -> unit
 
 type dist_scratch
 (** Reusable workspace (heap, epoch marks, region log) for
-    {!repair_dist}/{!repair_node_dist}.  Single-owner: one concurrent
+    {!repair_dist}.  Single-owner: one concurrent
     repair per scratch — give each {!Wnet_par} participant its own. *)
 
 val make_dist_scratch : int -> dist_scratch
@@ -118,25 +117,6 @@ val repair_dist :
     @raise Invalid_argument if the graph exceeds the scratch capacity
     or [dist] is shorter than the graph. *)
 
-type node_edit = { x : int; nbrs : int array; c0 : float; c1 : float }
-(** Node [x]'s relay cost changed from [c0] to [c1]; [nbrs] is [x]'s
-    adjacency at edit time (node-model bursts never change adjacency
-    between flushes, so the current neighbours serve). *)
-
-val repair_node_dist :
-  dist_scratch ->
-  ?budget:int ->
-  ?forbidden:int ->
-  graph:Graph.t ->
-  source:int ->
-  dist:float array ->
-  node_edit list ->
-  [ `Patched of int | `Overflow ]
-(** Node-weighted analogue of {!repair_dist}: [dist] is a
-    [Dijkstra.node_weighted ~forbidden] distance array from [source]
-    (leaving [source] is free, leaving any other node [x] costs its
-    relay cost).  Same contract and failure mode. *)
-
 (** {1 Region primitives}
 
     The wipe / boundary-reseed / bounded-settle machinery of the
@@ -146,7 +126,8 @@ val repair_node_dist :
     those labels, with everything outside the region serving as the
     intact boundary.  Protocol, per run: {!region_begin}, then
     {!region_mark} every region node, then {!region_wipe},
-    [region_reseed_*], optional direct seeds, and [region_settle_*].
+    {!region_reseed_link}, optional direct seeds, and
+    {!region_settle_link}.
     All of it is allocation-free after scratch creation (the settle
     loops go through [Indexed_heap.prios]/[touch]). *)
 
@@ -190,23 +171,3 @@ val region_settle_link :
     [graph] (with [forbidden] invisible).  Settled nodes are marked
     against [budget]; [false] means the region outgrew it and [dist] is
     left corrupted. *)
-
-val region_reseed_node :
-  dist_scratch ->
-  forbidden:int ->
-  graph:Graph.t ->
-  source:int ->
-  dist:float array ->
-  unit
-(** Node-weighted {!region_reseed_link}: symmetric adjacency, leaving a
-    boundary node charges its relay cost (0 from [source]). *)
-
-val region_settle_node :
-  dist_scratch ->
-  budget:int ->
-  forbidden:int ->
-  graph:Graph.t ->
-  source:int ->
-  dist:float array ->
-  bool
-(** Node-weighted {!region_settle_link}. *)

@@ -1,6 +1,6 @@
-(* Bookkeeping the two session engines share: the work-stealing fan-out
-   with its scheduler counters, the region-size histogram, and relay-set
-   extraction. *)
+(* Session-engine bookkeeping: the work-stealing fan-out with its
+   scheduler counters, the region-size histogram, and relay-set
+   extraction (also used by the node adapter's payment assembly). *)
 
 type tasks = { mutable executed : int; mutable stolen : int }
 

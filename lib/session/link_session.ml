@@ -408,95 +408,99 @@ let entry_fresh t k =
   | None -> false
   | Some _ -> t.avoid_epoch.(k) = t.cache_epoch
 
+(* The shared step of every payments batch, whichever model assembles
+   it: flush, bring the shared tree up to date, and fill the avoidance
+   array of every relay (internal tree node) whose cache is missing or
+   stale. *)
+let fill_caches t =
+  flush t;
+  let nn = n t in
+  let tree = shared_tree t in
+  let is_relay = Array.make nn false in
+  for v = 0 to nn - 1 do
+    if v <> t.root && Dijkstra.reachable tree v then begin
+      let h = tree.Dijkstra.parent.(v) in
+      if h <> t.root && h >= 0 then is_relay.(h) <- true
+    end
+  done;
+  let relays = C.relay_array is_relay in
+  let missing =
+    C.relay_array
+      (Array.init nn (fun k -> is_relay.(k) && not (entry_fresh t k)))
+  in
+  let dists =
+    if Array.length missing = 0 then [||]
+    else begin
+      (* Per-relay fills bounded to the relay's SPT subtree: exterior
+         distances are copied bit-for-bit from the shared tree, only the
+         region is wiped/reseeded/settled.  Oversized subtrees fall back
+         to the full-graph CSR kernel.  Stolen tasks run on other
+         domains, so they only return (dist, region) pairs; the counters
+         and histogram are folded here on the main thread. *)
+      let idx = Avoid_region.make_index tree in
+      let states =
+        Array.init (Array.length t.scratches) (fun i ->
+            (t.scratches.(i), t.dscratches.(i)))
+      in
+      let pairs =
+        steal_map t ~states
+          (fun (scratch, ds) k ->
+            let d = Array.make nn infinity in
+            let r =
+              Avoid_region.link_avoid ds idx ~graph:t.rev ~mirror:t.g ~tree
+                ~avoid:k ~dist:d
+            in
+            if r >= 0 then (d, r)
+            else
+              ( Dijkstra.link_weighted_dist_csr scratch ~avoid:k t.rev t.root,
+                -1 ))
+          missing
+      in
+      Array.map
+        (fun (d, r) ->
+          if r >= 0 then begin
+            t.avoid_bounded <- t.avoid_bounded + 1;
+            record_region t r
+          end
+          else t.avoid_fallback <- t.avoid_fallback + 1;
+          d)
+        pairs
+    end
+  in
+  Array.iteri
+    (fun i k ->
+      t.avoid.(k) <- Some dists.(i);
+      t.avoid_epoch.(k) <- t.cache_epoch)
+    missing;
+  t.avoid_runs <- t.avoid_runs + Array.length missing;
+  t.avoid_reused <-
+    t.avoid_reused + (Array.length relays - Array.length missing);
+  tree
+
+let avoid_dist t k =
+  match t.avoid.(k) with
+  | Some d when t.avoid_epoch.(k) = t.cache_epoch -> d
+  | _ -> invalid_arg "Link_session.avoid_dist: no fresh cache for this node"
+
 let payments t =
   match t.last with
   | Some (v, batch) when v = version t -> batch
   | _ ->
-    flush t;
+    let tree = fill_caches t in
     let nn = n t in
-    let tree = shared_tree t in
-    let next_hop v = tree.Dijkstra.parent.(v) in
-    (* Relays: internal nodes of the reversed shortest-path tree. *)
-    let is_relay = Array.make nn false in
-    for v = 0 to nn - 1 do
-      if v <> t.root && Dijkstra.reachable tree v then begin
-        let h = next_hop v in
-        if h <> t.root && h >= 0 then is_relay.(h) <- true
-      end
-    done;
-    let relays = C.relay_array is_relay in
-    let missing =
-      C.relay_array
-        (Array.init nn (fun k -> is_relay.(k) && not (entry_fresh t k)))
-    in
-    let dists =
-      if Array.length missing = 0 then [||]
-      else begin
-        (* Per-relay fills bounded to the relay's SPT subtree: exterior
-           distances are copied bit-for-bit from the shared tree, only
-           the region is wiped/reseeded/settled.  Oversized subtrees
-           fall back to the full-graph CSR kernel.  Stolen tasks run on
-           other domains, so they only return (dist, region) pairs; the
-           counters and histogram are folded here on the main thread. *)
-        let idx = Avoid_region.make_index tree in
-        let states =
-          Array.init (Array.length t.scratches) (fun i ->
-              (t.scratches.(i), t.dscratches.(i)))
-        in
-        let pairs =
-          steal_map t ~states
-            (fun (scratch, ds) k ->
-              let d = Array.make nn infinity in
-              let r =
-                Avoid_region.link_avoid ds idx ~graph:t.rev ~mirror:t.g ~tree
-                  ~avoid:k ~dist:d
-              in
-              if r >= 0 then (d, r)
-              else
-                ( Dijkstra.link_weighted_dist_csr scratch ~avoid:k t.rev t.root,
-                  -1 ))
-            missing
-        in
-        Array.map
-          (fun (d, r) ->
-            if r >= 0 then begin
-              t.avoid_bounded <- t.avoid_bounded + 1;
-              record_region t r
-            end
-            else t.avoid_fallback <- t.avoid_fallback + 1;
-            d)
-          pairs
-      end
-    in
-    Array.iteri
-      (fun i k ->
-        t.avoid.(k) <- Some dists.(i);
-        t.avoid_epoch.(k) <- t.cache_epoch)
-      missing;
-    t.avoid_runs <- t.avoid_runs + Array.length missing;
-    t.avoid_reused <-
-      t.avoid_reused + (Array.length relays - Array.length missing);
     let cut = Array.make nn false in
     let results =
       Array.init nn (fun src ->
           if src = t.root || not (Dijkstra.reachable tree src) then None
           else begin
-            let rec chain v acc =
-              if v = t.root then List.rev (t.root :: acc)
-              else chain (next_hop v) (v :: acc)
-            in
-            let path = Array.of_list (chain src []) in
+            let path = Array.of_list (Dijkstra.path_in_tree tree src) in
             let lcp_cost = Dijkstra.dist tree src in
             let len = Array.length path in
             let payments = Array.make nn 0.0 in
             for l = 1 to len - 2 do
               let k = path.(l) in
               let used_link = Digraph.weight t.g k path.(l + 1) in
-              let avoid_k =
-                match t.avoid.(k) with
-                | Some d -> d.(src)
-                | None -> assert false (* every internal node is a relay *)
-              in
+              let avoid_k = (avoid_dist t k).(src) in
               let delta = avoid_k -. lcp_cost in
               payments.(k) <- used_link +. delta;
               if avoid_k = infinity then cut.(k) <- true

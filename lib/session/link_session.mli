@@ -168,6 +168,19 @@ val payments : t -> batch
     pool, through the session's per-domain scratches), and memoizes the
     batch until the next edit. *)
 
+val fill_caches : t -> Wnet_graph.Dijkstra.tree
+(** The shared step of {!payments}, for adapters that assemble their
+    own payments from the caches ({!Node_session}): {!flush}, bring the
+    shared reversed tree up to date, and fill the avoidance array of
+    every relay (internal tree node).  Returns the shared tree, valid
+    until the next edit; treat it as read-only. *)
+
+val avoid_dist : t -> int -> float array
+(** [avoid_dist s k] is relay [k]'s cached root-side distances over the
+    reversed graph with [k] forbidden, as of the last {!fill_caches}
+    (or {!payments}).  Read-only, valid until the next edit.
+    @raise Invalid_argument when [k] has no fresh cache entry. *)
+
 val unbounded_relays : t -> int list
 (** Cut-vertex relays as of the last {!payments} call: relays whose
     removal disconnects some served source from the root, making their

@@ -1,20 +1,21 @@
 (** Incremental all-to-access-point payment sessions, node-cost model
     (Sec. II — the paper's primary model).
 
-    The node-model sibling of {!Link_session}: a session owns the
-    graph, the shared node-weighted shortest-path tree from the access
-    point (node-weighted distances are symmetric, so from-root trees
-    serve to-root queries), the per-relay avoidance-distance cache, a
-    {!Wnet_par} pool and per-domain Dijkstra scratches.  Deltas are a
-    node's declared cost changing ({!set_cost}) and a node leaving
-    ({!remove_node}); each coalesced burst {e repairs} every exact
-    [k]-avoiding array in place over its affected region
-    ({!Wnet_graph.Dynamic_sssp.repair_node_dist}), falling back to a
-    from-scratch rerun when the region exceeds the budget.  The shared
-    node-weighted tree stays live-or-die (it is one Dijkstra per burst;
-    the per-relay arrays are the expensive part).  Cache misses are
-    filled by the subtree-bounded kernel ({!Wnet_graph.Avoid_region}),
-    with a full-graph CSR Dijkstra as its budget-overflow fallback.
+    The node model is the link model (Sec. III-F) in which every node
+    charges the same cost towards each neighbour, so this session runs
+    on the link engine: a {!Link_session} over
+    {!Wnet_graph.Digraph.of_node_costs}, where each arc into [x] weighs
+    [x]'s relay cost and arcs into the access point weigh [0.0].  The
+    engine's reversed-graph searches then relax exactly
+    [dist u +. cost u], over neighbours in the same order, so its tree,
+    tie order and avoidance arrays are bit-identical to node-weighted
+    Dijkstra runs.  A cost edit on [x] becomes deg([x]) in-place arc
+    writes, coalesced and repaired like any link burst: the shared tree
+    and every exact avoidance array are patched over the affected
+    region, falling back to a from-scratch run when the region exceeds
+    the budget (or a bit-equal tie could flip a tree parent).  Cache
+    misses are filled by the subtree-bounded kernel.  Only the payment
+    assembly is the node model's own ([cost k +. avoid_k -. lcp]).
 
     {b Determinism contract:} {!payments} after any edit sequence is
     bit-identical ([Float.equal], identical paths) to a from-scratch
@@ -46,19 +47,23 @@ type stats = Link_session.stats = {
   avoid_bounded : int;
   avoid_fallback : int;
 }
-(** The link engine's work ledger, counted the same way: [spt_runs]
-    counts node-weighted tree reruns, [repaired_entries] avoidance
-    arrays patched in place, [fallback_recomputes] repairs that bailed
-    on an oversized region. *)
+(** The link engine's work ledger, except that [edits] and
+    [coalesced_edits] count node edits (one per effective {!set_cost} or
+    {!remove_node}, whatever the node's degree).  [spt_runs] counts
+    shared-tree builds and from-scratch fallbacks only — an edit burst
+    normally patches the tree in place, which counts in
+    [repaired_entries] with the patched avoidance arrays;
+    [fallback_recomputes] counts repairs that bailed on an oversized
+    region or a tie. *)
 
 val create :
   ?pool:Wnet_par.t ->
   Wnet_graph.Graph.t ->
   root:int ->
   t
-(** [create g ~root] opens a session on [g].  [Graph.t] is immutable,
-    so the session shares the adjacency structure and swaps cost
-    vectors; the caller's graph is never affected.  [?pool] (default
+(** [create g ~root] opens a session on [g], building the node-weighted
+    digraph and its reverse in O(n + m).  [Graph.t] is immutable, so the
+    caller's graph is never affected.  [?pool] (default
     {!Wnet_par.sequential}) fans avoidance work out over domains; every
     pool size yields bit-identical payments.
     @raise Invalid_argument if [root] is out of range. *)
@@ -77,11 +82,14 @@ val version : t -> int
 
 val set_cost : t -> int -> float -> unit
 (** [set_cost s v c] re-declares node [v]'s relay cost.  The cost vector
-    swaps immediately; the avoidance-cache invalidation is deferred and
-    coalesced — a burst of cost edits before the next {!payments} (or
-    {!remove_node}) is folded into one {!flush} pass over the cache
-    array, testing each cache against the burst's net changes.
-    @raise Invalid_argument on a negative or non-finite cost. *)
+    swaps and the weights of the arcs into [v] are rewritten
+    immediately (none for the root, whose cost weighs nothing); the
+    cache repair is deferred and coalesced — a burst of cost edits
+    before the next {!payments} (or {!remove_node}) is folded into one
+    {!flush} pass that repairs the shared tree and each cache against
+    the burst's net changes.
+    @raise Invalid_argument on a negative or non-finite cost, before
+    anything changes. *)
 
 val flush : t -> unit
 (** Apply the deferred invalidation for every buffered cost edit in one
@@ -95,8 +103,8 @@ val remove_node : t -> int -> unit
 
 val payments : t -> outcome option array
 (** The all-to-root batch on the current topology: entry [src] is
-    [None] for the root and disconnected sources.  Shared tree
-    recomputed only after an edit; avoidance Dijkstras run only for
+    [None] for the root and disconnected sources.  The shared tree is
+    patched in place after an edit burst; avoidance fills run only for
     relays whose cache is missing or invalidated, over the session's
     pool and per-domain scratches; memoized until the next edit. *)
 

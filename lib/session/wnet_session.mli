@@ -1,14 +1,14 @@
 (** Incremental payment sessions, and the model-agnostic session API.
 
-    The two concrete engines ({!Link_session} for the Sec. III-F
-    link-cost model, {!Node_session} for the Sec. II node-cost model)
-    share one architecture — mutable topology, shared SPT, per-relay
-    avoidance caches, deferred coalesced invalidation, a {!Wnet_par}
-    pool — but expose model-specific graphs and deltas.  Every front-end
-    (the stdin line protocol, the socket server, the bench) used to
-    duplicate its serve loop per model; {!S} packages a running session
-    behind one first-class signature so a single generic loop drives
-    both.
+    One engine, {!Link_session} (the Sec. III-F link-cost model), owns
+    the mutable topology, shared SPT, per-relay avoidance caches,
+    deferred coalesced invalidation and a {!Wnet_par} pool;
+    {!Node_session} (the Sec. II node-cost model) runs on it as a link
+    weighting.  The two expose model-specific graphs and deltas.  Every
+    front-end (the stdin line protocol, the socket server, the bench)
+    used to duplicate its serve loop per model; {!S} packages a running
+    session behind one first-class signature so a single generic loop
+    drives both.
 
     {!make} opens a session on either graph kind and returns the
     packaged instance.  All determinism contracts of the underlying
@@ -34,7 +34,7 @@ type stats = Link_session.stats = {
   avoid_bounded : int;
   avoid_fallback : int;
 }
-(** The unified work ledger; both engines share this record. *)
+(** The unified work ledger; both session kinds share this record. *)
 
 val zero_stats : stats
 (** All counters zero — the [of_fields] default for omitted keys. *)

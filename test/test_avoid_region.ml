@@ -1,9 +1,10 @@
 (* The subtree-bounded avoidance tentpole (ISSUE: subtree-bounded
    avoidance kernels):
 
-   - [Avoid_region.link_avoid]/[node_avoid] are [Float.equal]-identical
-     to the full-CSR kernel and to the boxed forbidden-node oracle
-     ([Oracle.link_dist]/[node_dist]) for every relay — cut vertices
+   - [Avoid_region.link_avoid] is [Float.equal]-identical to the
+     full-CSR kernel and to the boxed forbidden-node oracle
+     ([Oracle.link_dist], and [Oracle.node_dist] on the reversed
+     [Digraph.of_node_costs] graph) for every relay — cut vertices
      (infinite avoidance) and unreachable nodes included;
    - an undersized budget reports [`Overflow] honestly, and rerunning
      with a sufficient one recovers the exact answer (the session's
@@ -66,12 +67,24 @@ let link_kernel_prop seed =
   done;
   true
 
+(* The node model on the link kernels: over the reversed
+   [Digraph.of_node_costs] graph the shared tree is the node-weighted
+   tree, parents (tie order) included, and every bounded fill matches
+   the node oracle.  Unit costs make ties the common case. *)
 let node_kernel_prop seed =
   let rng = Rng.create seed in
-  let g = Test_util.random_ring_graph rng in
+  let g = Test_util.maybe_unit_costs rng (Test_util.random_ring_graph rng) in
   let n = Graph.n g in
   let root = Rng.int rng n in
-  let tree = Dijkstra.node_weighted g ~source:root in
+  let fwd = Digraph.of_node_costs g ~root in
+  let rev = Digraph.reverse fwd in
+  let tree = Dijkstra.link_weighted rev root in
+  let node_tree = Dijkstra.node_weighted g ~source:root in
+  if
+    not
+      (floats_equal tree.Dijkstra.dist node_tree.Dijkstra.dist
+      && tree.Dijkstra.parent = node_tree.Dijkstra.parent)
+  then QCheck2.Test.fail_reportf "link tree differs from the node tree";
   let idx = Avoid_region.make_index tree in
   let ds = Dynamic_sssp.make_dist_scratch n in
   let scratch = Dijkstra.make_scratch n in
@@ -79,11 +92,11 @@ let node_kernel_prop seed =
   for k = 0 to n - 1 do
     if k <> root then begin
       if
-        Avoid_region.node_avoid ds ~budget:n idx ~graph:g ~tree ~avoid:k
-          ~dist:d
+        Avoid_region.link_avoid ds ~budget:n idx ~graph:rev ~mirror:fwd ~tree
+          ~avoid:k ~dist:d
         < 0
       then QCheck2.Test.fail_reportf "budget n overflowed (k=%d)" k;
-      let csr = Dijkstra.node_weighted_dist_csr scratch ~avoid:k g ~source:root in
+      let csr = Dijkstra.link_weighted_dist_csr scratch ~avoid:k rev root in
       let boxed = Oracle.node_dist ~avoid:k g ~source:root in
       if not (floats_equal d csr && floats_equal csr boxed) then
         QCheck2.Test.fail_reportf "bounded/full/boxed diverged at relay %d" k
@@ -93,22 +106,19 @@ let node_kernel_prop seed =
 
 (* An undersized budget must overflow honestly; retrying with budget [n]
    recovers the exact answer from the same (corrupted) buffer — the
-   session's fallback path in miniature. *)
-let overflow_recovery_prop seed =
-  let rng = Rng.create seed in
-  let n = 8 + Rng.int rng 20 in
-  let g = random_digraph rng ~n in
-  let root = Rng.int rng n in
-  let rev = Digraph.reverse g in
+   session's fallback path in miniature.  Checked on a random digraph
+   and on a node-weighted one against the node oracle. *)
+let overflow_recovery ~rng ~rev ~fwd ~root ~exact =
+  let n = Digraph.n rev in
   let tree = Dijkstra.link_weighted rev root in
   let idx = Avoid_region.make_index tree in
   let ds = Dynamic_sssp.make_dist_scratch n in
   let d = Array.make n nan in
   let k = (root + 1 + Rng.int rng (n - 1)) mod n in
-  let exact = Oracle.link_dist ~avoid:k rev root in
+  let exact = exact k in
   let tight = Rng.int rng 3 in
   let r =
-    Avoid_region.link_avoid ds ~budget:tight idx ~graph:rev ~mirror:g ~tree
+    Avoid_region.link_avoid ds ~budget:tight idx ~graph:rev ~mirror:fwd ~tree
       ~avoid:k ~dist:d
   in
   if r >= 0 then begin
@@ -119,13 +129,29 @@ let overflow_recovery_prop seed =
   end
   else begin
     if
-      Avoid_region.link_avoid ds ~budget:n idx ~graph:rev ~mirror:g ~tree
+      Avoid_region.link_avoid ds ~budget:n idx ~graph:rev ~mirror:fwd ~tree
         ~avoid:k ~dist:d
       < 0
     then QCheck2.Test.fail_reportf "budget n overflowed after retry";
     if not (floats_equal d exact) then
       QCheck2.Test.fail_reportf "post-overflow retry diverged"
-  end;
+  end
+
+let overflow_recovery_prop seed =
+  let rng = Rng.create seed in
+  let n = 8 + Rng.int rng 20 in
+  let g = random_digraph rng ~n in
+  let root = Rng.int rng n in
+  let rev = Digraph.reverse g in
+  overflow_recovery ~rng ~rev ~fwd:g ~root ~exact:(fun k ->
+      Oracle.link_dist ~avoid:k rev root);
+  let gn =
+    Test_util.maybe_unit_costs rng (Test_util.random_ring_graph ~min_n:8 rng)
+  in
+  let root = Rng.int rng (Graph.n gn) in
+  let fwd = Digraph.of_node_costs gn ~root in
+  overflow_recovery ~rng ~rev:(Digraph.reverse fwd) ~fwd ~root
+    ~exact:(fun k -> Oracle.node_dist ~avoid:k gn ~source:root);
   true
 
 (* ---------------- sessions vs the oracle batches ---------------- *)
@@ -175,7 +201,9 @@ let session_interleaving_prop ~domains seed =
           match !removed with
           | k :: rest ->
             let out = [ (Rng.int rng n, Rng.float_range rng 0.5 10.0) ] in
-            let out = List.filter (fun (v, _) -> v <> k) out in
+            let out =
+              List.filter (fun (v, _) -> v <> k && not (List.mem v rest)) out
+            in
             LS.rejoin_node s k ~out ~inn:[];
             removed := rest
           | [] -> ())

@@ -6,7 +6,8 @@
      maintenance and the lazy rebuild must be indistinguishable);
    - the CSR Dijkstra kernels (ban mask, key-only pops, scratch-owned
      result) are [Float.equal]-identical to the boxed forbidden-node
-     oracle ([Oracle.link_dist]/[node_dist]);
+     oracle ([Oracle.link_dist]/[node_dist]), the node model through
+     the reversed [Digraph.of_node_costs] graph;
    - whole payment batches from the sessions' kernels (subtree-bounded,
      with the full-CSR fallback) match the [Oracle] batches bit for bit
      at pool sizes 1 and 3, edits included. *)
@@ -159,9 +160,11 @@ let link_kernel_prop seed =
   done;
   true
 
+(* The node model runs on the link kernel over the reversed
+   node-weighted digraph; unit costs make most labels tie. *)
 let node_kernel_prop seed =
   let rng = Rng.create seed in
-  let g = Test_util.random_sparse_graph rng in
+  let g = Test_util.maybe_unit_costs rng (Test_util.random_sparse_graph rng) in
   let n = Graph.n g in
   let scratch = Dijkstra.make_scratch n in
   for _ = 1 to 5 do
@@ -171,7 +174,8 @@ let node_kernel_prop seed =
       if k = source then -1 else k
     in
     let expect = Oracle.node_dist ~avoid g ~source in
-    let got = Dijkstra.node_weighted_dist_csr scratch ~avoid g ~source in
+    let rev = Test_util.node_rev g ~root:source in
+    let got = Dijkstra.link_weighted_dist_csr scratch ~avoid rev source in
     if not (floats_equal got expect) then
       QCheck2.Test.fail_reportf "CSR node kernel diverged from boxed oracle"
   done;

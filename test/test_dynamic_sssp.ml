@@ -143,47 +143,62 @@ let dist_prop seed =
   done;
   true
 
-(* Node-weighted repair: random cost bursts over a fixed topology. *)
+(* Node-weighted repair: random cost bursts over a fixed topology, run
+   through the link repair on the reversed [Digraph.of_node_costs]
+   graph, where a cost edit on [x] is one edit per arc out of [x]. *)
 let node_dist_prop seed =
   let rng = Test_util.rng seed in
   let g0 =
-    if Rng.bernoulli rng 0.5 then Test_util.random_ring_graph rng
-    else Test_util.random_sparse_graph rng
+    Test_util.maybe_unit_costs rng
+      (if Rng.bernoulli rng 0.5 then Test_util.random_ring_graph rng
+       else Test_util.random_sparse_graph rng)
   in
   let n = Graph.n g0 in
   let source = Rng.int rng n in
   let forbidden = (source + 1 + Rng.int rng (n - 1)) mod n in
   let scratch = Dynamic_sssp.make_dist_scratch n in
+  let fwd = Digraph.of_node_costs g0 ~root:source in
+  let rev = Digraph.reverse fwd in
   let g = ref g0 in
   let oracle () = Oracle.node_dist ~avoid:forbidden !g ~source in
   let dist = oracle () in
   for burst = 1 to 8 do
-    let edits = ref [] in
+    (* net fold: each edited node's cost at burst start, even when the
+       same node is edited twice in one burst *)
+    let c0 = ref [] in
     let k = 1 + Rng.int rng 3 in
     for _ = 1 to k do
       let x = Rng.int rng n in
       if x <> source then begin
-        (* net fold: c0 is the cost at burst start, even when the same
-           node is edited twice in one burst *)
-        let c0 =
-          match List.find_opt (fun e -> e.Dynamic_sssp.x = x) !edits with
-          | Some e -> e.Dynamic_sssp.c0
-          | None -> Graph.cost !g x
-        in
+        if not (List.mem_assoc x !c0) then c0 := (x, Graph.cost !g x) :: !c0;
         let c1 =
           if Rng.bernoulli rng 0.3 then float_of_int (1 + Rng.int rng 2)
           else 0.05 +. Rng.float rng 5.0
         in
         g := Graph.with_cost !g x c1;
-        edits :=
-          { Dynamic_sssp.x; nbrs = Graph.neighbors !g x; c0; c1 }
-          :: List.filter (fun e -> e.Dynamic_sssp.x <> x) !edits
+        Array.iter
+          (fun y ->
+            Digraph.set_weight fwd y x c1;
+            Digraph.set_weight rev x y c1)
+          (Graph.neighbors !g x)
       end
     done;
+    let edits =
+      List.concat_map
+        (fun (x, w0) ->
+          let w1 = Graph.cost !g x in
+          if Float.equal w0 w1 then []
+          else
+            Array.to_list
+              (Array.map
+                 (fun y -> { Dynamic_sssp.u = x; v = y; w0; w1 })
+                 (Graph.neighbors !g x)))
+        !c0
+    in
     let fresh = oracle () in
     (match
-       Dynamic_sssp.repair_node_dist scratch ~forbidden ~graph:!g ~source ~dist
-         !edits
+       Dynamic_sssp.repair_dist scratch ~forbidden ~graph:rev ~mirror:fwd
+         ~source ~dist edits
      with
     | `Patched _ -> ()
     | `Overflow -> Array.blit fresh 0 dist 0 n);

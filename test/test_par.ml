@@ -374,10 +374,15 @@ let test_scratch_reuse_matches_fresh () =
   let r = Test_util.rng 91 in
   let scratch = Wnet_graph.Dijkstra.make_scratch 40 in
   for _ = 1 to 10 do
-    let g = Test_util.random_ring_graph ~max_n:40 r in
+    let g =
+      Test_util.maybe_unit_costs r (Test_util.random_ring_graph ~max_n:40 r)
+    in
     let n = Wnet_graph.Graph.n g in
     let fresh = Wnet_graph.Dijkstra.node_weighted g ~source:0 in
-    let reused = Wnet_graph.Dijkstra.node_weighted_dist_csr scratch g ~source:0 in
+    let reused =
+      Wnet_graph.Dijkstra.link_weighted_dist_csr scratch
+        (Test_util.node_rev g ~root:0) 0
+    in
     for v = 0 to n - 1 do
       check_exact
         (Printf.sprintf "dist %d" v)

@@ -389,6 +389,109 @@ let test_node_coalesced_burst () =
   Alcotest.(check bool) "node burst still matches the oracle batch" true
     (Oracle.node_matches b oracle)
 
+(* ---------------- node adapter edge cases ---------------- *)
+
+(* A bad cost must be refused before anything changes: on the arcs it
+   would become an [infinity] weight, which deletes the arc. *)
+let test_node_bad_cost_rejected () =
+  let g = Test_util.random_ring_graph (Test_util.rng 17) in
+  let s = NS.create g ~root:0 in
+  ignore (NS.payments s);
+  let v0 = NS.version s in
+  List.iter
+    (fun c ->
+      match NS.set_cost s 1 c with
+      | () -> Alcotest.failf "cost %g accepted" c
+      | exception Invalid_argument _ -> ())
+    [ nan; infinity; neg_infinity; -1.0 ];
+  Alcotest.(check int) "version unchanged" v0 (NS.version s);
+  Alcotest.(check int) "no edit counted" 0 (NS.stats s).NS.edits;
+  Alcotest.(check bool) "payments unchanged" true
+    (Oracle.node_matches (NS.payments s) (Oracle.node_batch g ~root:0));
+  let module P = Wnet_proto in
+  let session = Wnet_session.make ~root:0 (`Node g) in
+  match P.handle_line session "cost 1 inf" with
+  | `Reply [ P.Err _ ] -> ()
+  | _ -> Alcotest.fail "`cost N inf' on a node session must answer err"
+
+(* One node edit writes deg(x) arcs but is one edit on the wire. *)
+let test_node_edit_counts_once () =
+  let g = Test_util.random_ring_graph ~min_n:20 (Test_util.rng 5) in
+  let x = ref 1 in
+  for v = 1 to Graph.n g - 1 do
+    if Graph.degree g v > Graph.degree g !x then x := v
+  done;
+  Alcotest.(check bool) "picked a node with several neighbours" true
+    (Graph.degree g !x >= 3);
+  let s = NS.create g ~root:0 in
+  ignore (NS.payments s);
+  let st0 = NS.stats s in
+  NS.set_cost s !x (Graph.cost g !x +. 1.5);
+  Alcotest.(check int) "version +1" 1 (NS.version s);
+  Alcotest.(check int) "edits +1" (st0.NS.edits + 1) (NS.stats s).NS.edits;
+  NS.set_cost s !x (NS.cost s !x);
+  Alcotest.(check int) "a no-op edit bumps nothing" 1 (NS.version s);
+  ignore (NS.payments s);
+  let st1 = NS.stats s in
+  Alcotest.(check int) "coalesced +1" (st0.NS.coalesced_edits + 1)
+    st1.NS.coalesced_edits;
+  Alcotest.(check int) "one invalidation pass" (st0.NS.inval_passes + 1)
+    st1.NS.inval_passes
+
+(* The root's cost weighs no arc, so editing it touches no cache. *)
+let test_node_root_edit_no_pass () =
+  let g = Test_util.random_ring_graph (Test_util.rng 23) in
+  let s = NS.create g ~root:0 in
+  ignore (NS.payments s);
+  let st0 = NS.stats s in
+  NS.set_cost s 0 (Graph.cost g 0 +. 3.0);
+  let b = NS.payments s in
+  let st1 = NS.stats s in
+  Alcotest.(check int) "version +1" 1 (NS.version s);
+  Alcotest.(check int) "no invalidation pass" st0.NS.inval_passes
+    st1.NS.inval_passes;
+  Alcotest.(check int) "no repair" st0.NS.repaired_entries
+    st1.NS.repaired_entries;
+  Alcotest.(check int) "no tree run" st0.NS.spt_runs st1.NS.spt_runs;
+  Alcotest.(check int) "no avoidance run" st0.NS.avoid_runs st1.NS.avoid_runs;
+  Alcotest.(check bool) "payments match the oracle" true
+    (Oracle.node_matches b (Oracle.node_batch (NS.graph s) ~root:0))
+
+(* Raising a non-relay's cost leaves every shortest path in place: the
+   shared tree is repaired in place, never rerun. *)
+let test_node_slack_burst_keeps_tree () =
+  let g = Test_util.random_ring_graph ~min_n:20 (Test_util.rng 41) in
+  let s = NS.create g ~root:0 in
+  let b = NS.payments s in
+  let st0 = NS.stats s in
+  let is_relay = Array.make (Graph.n g) false in
+  Array.iter
+    (Option.iter (fun (o : NS.outcome) ->
+         Array.iter (fun k -> is_relay.(k) <- true) (Path.relays o.NS.path)))
+    b;
+  let leaves =
+    List.filter
+      (fun v -> v <> 0 && not is_relay.(v))
+      (List.init (Graph.n g) Fun.id)
+  in
+  Alcotest.(check bool) "instance has non-relay nodes" true
+    (List.length leaves >= 2);
+  for round = 1 to 3 do
+    List.iter
+      (fun v -> NS.set_cost s v (NS.cost s v +. float_of_int round))
+      leaves;
+    let b = NS.payments s in
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d matches the oracle" round)
+      true
+      (Oracle.node_matches b (Oracle.node_batch (NS.graph s) ~root:0))
+  done;
+  let st1 = NS.stats s in
+  Alcotest.(check int) "shared tree never rerun" st0.NS.spt_runs
+    st1.NS.spt_runs;
+  Alcotest.(check int) "one pass per burst" (st0.NS.inval_passes + 3)
+    st1.NS.inval_passes
+
 (* ---------------- pool plumbing the sessions rely on ---------------- *)
 
 let test_map_array_pooled () =
@@ -426,6 +529,14 @@ let suite =
       test_explicit_flush;
     Alcotest.test_case "node model coalesces bursts too" `Quick
       test_node_coalesced_burst;
+    Alcotest.test_case "node model: bad costs rejected, nothing changes"
+      `Quick test_node_bad_cost_rejected;
+    Alcotest.test_case "node model: one edit counts once at any degree"
+      `Quick test_node_edit_counts_once;
+    Alcotest.test_case "node model: root-cost edit runs no pass" `Quick
+      test_node_root_edit_no_pass;
+    Alcotest.test_case "node model: slack burst repairs the tree in place"
+      `Quick test_node_slack_burst_keeps_tree;
     Alcotest.test_case "map_array_pooled caller-owned states" `Quick
       test_map_array_pooled;
     Test_util.qcheck_case ~count:60

@@ -51,3 +51,14 @@ let qcheck_case ?(count = 100) name gen prop =
    generate a seed and derive the structure, which shrinks poorly but
    keeps generation deterministic and cheap. *)
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
+
+(* The node model as the link engine searches it: the reverse of
+   [Digraph.of_node_costs], run from [root]. *)
+let node_rev g ~root =
+  Wnet_graph.Digraph.reverse (Wnet_graph.Digraph.of_node_costs g ~root)
+
+(* Half the time, every cost set to 1.0: the tie-rich node instances. *)
+let maybe_unit_costs r g =
+  if Wnet_prng.Rng.bernoulli r 0.5 then
+    Wnet_graph.Graph.with_costs g (Array.make (Wnet_graph.Graph.n g) 1.0)
+  else g
