@@ -23,12 +23,17 @@ bench: microbench
 # Per-primitive micro suite: one exe per primitive family under
 # bench/micro/ (proto encode, proto decode, deque, heap, repair), each
 # printing an ns/op table and hard-asserting ZERO minor-heap words per
-# operation on the steady-state codec paths (native builds).  `make
-# bench` runs these first so an allocation regression fails fast,
-# before the wall-clock suites spend minutes; the same primitives also
-# land as gated "micro/..." rows in BENCH_latest.json.
+# operation on the steady-state codec paths (native builds).
+# bench_assemble times a cache-hit session payments rebuild (link model
+# at n=400 and n=800, node model at n=400) and asserts its words per
+# rebuild stay within 12 * (n + sum of path lengths), so a dense
+# n-sized array per source fails it.  `make bench` runs these first so
+# an allocation regression fails fast, before the wall-clock suites
+# spend minutes; the same primitives also land as gated "micro/..."
+# rows in BENCH_latest.json.
 MICRO_BENCHES = bench_proto_encode bench_proto_decode bench_deque \
-	bench_heap bench_repair bench_dijkstra bench_avoid bench_avoid_region
+	bench_heap bench_repair bench_dijkstra bench_avoid bench_avoid_region \
+	bench_assemble
 
 microbench:
 	dune build bench/micro

@@ -902,6 +902,7 @@ let microprim_families () =
     ("dijkstra", M.dijkstra ());
     ("avoid", M.avoid ());
     ("avoid-region", M.avoid_region ());
+    ("assemble", List.map fst (M.assemble ()));
   ]
 
 let run_microprims ?previous () =

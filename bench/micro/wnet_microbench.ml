@@ -455,6 +455,88 @@ let avoid_region () =
     };
   ]
 
+(* ---------------- payment assembly ---------------- *)
+
+(* The paper's deployment (2000 m square, 300 m range, kappa = 2), a
+   connected placement, rooted at node 0. *)
+let udg_placement ~n ~seed =
+  match
+    Wnet_topology.Udg.generate_connected (Wnet_prng.Rng.create seed)
+      ~region:Wnet_geom.Region.paper_region ~n ~range:300.0 ~max_tries:10_000
+  with
+  | Some t -> t
+  | None -> failwith (Printf.sprintf "no connected placement at n=%d" n)
+
+(* A cache-hit [payments] rebuild: one cost edit and its revert (a burst
+   that cancels, so the shared tree and every avoidance array stay
+   fresh), then [payments], which now only re-assembles the batch.
+   Each primitive carries its allocation bound in words (either heap)
+   per rebuild, [assemble_words_factor * (n + sum of path lengths)]: one
+   n-sized array per source (the dense payment vectors) is n^2 words
+   and breaks it at both sizes. *)
+let assemble_words_factor = 12.0
+
+let sum_path_lengths paths =
+  Array.fold_left
+    (fun acc p -> match p with Some p -> acc + Array.length p | None -> acc)
+    0 paths
+
+let assemble () =
+  let module LS = Wnet_session.Link_session in
+  let module NS = Wnet_session.Node_session in
+  let bound ~n paths =
+    assemble_words_factor *. float_of_int (n + sum_path_lengths paths)
+  in
+  let link n =
+    let g =
+      Wnet_topology.Udg.link_graph (udg_placement ~n ~seed:n)
+        ~model:(Wnet_geom.Power.path_loss_only ~kappa:2.0)
+    in
+    let s = LS.create g ~root:0 in
+    let paths =
+      Array.map
+        (Option.map (fun (o : LS.outcome) -> o.LS.path))
+        (LS.payments s).LS.results
+    in
+    let v, w = (Wnet_graph.Digraph.out_links g 0).(0) in
+    ( {
+        name = Printf.sprintf "link/cache-hit/n=%d" n;
+        ops = 1;
+        alloc_free = false (* the batch itself: O(n + sum |path|) words *);
+        run =
+          (fun () ->
+            LS.set_cost s 0 v (w *. 2.0);
+            LS.set_cost s 0 v w;
+            ignore (Sys.opaque_identity (LS.payments s)));
+      },
+      bound ~n paths )
+  in
+  let node n =
+    let t = udg_placement ~n ~seed:n in
+    let costs =
+      Wnet_topology.Udg.uniform_node_costs (Wnet_prng.Rng.create n) ~n ~lo:1.0
+        ~hi:10.0
+    in
+    let s = NS.create (Wnet_topology.Udg.node_graph t ~costs) ~root:0 in
+    let paths =
+      Array.map (Option.map (fun (o : NS.outcome) -> o.NS.path)) (NS.payments s)
+    in
+    let x = n / 2 in
+    let c = NS.cost s x in
+    ( {
+        name = Printf.sprintf "node/cache-hit/n=%d" n;
+        ops = 1;
+        alloc_free = false;
+        run =
+          (fun () ->
+            NS.set_cost s x (c *. 2.0);
+            NS.set_cost s x c;
+            ignore (Sys.opaque_identity (NS.payments s)));
+      },
+      bound ~n paths )
+  in
+  [ link 400; link 800; node 400 ]
+
 (* ---------------- measurement & driver ---------------- *)
 
 let time_once f =
@@ -496,6 +578,37 @@ let check_alloc family p =
         "%s/%s: allocation regression — %.3f minor words/op on the \
          steady-state path (want 0)\n"
         family p.name w;
+      exit 1
+    end
+  end
+
+(* Every word allocated so far, minor and major heap alike: arrays over
+   [Max_young_wosize] go straight to the major heap, out of
+   {!alloc_words_per_op}'s sight.  The major-heap counters are only
+   brought up to date by major-GC work, hence the [Gc.full_major]. *)
+let allocated_words () =
+  Gc.full_major ();
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+
+let total_words_per_op ?(reps = 8) p =
+  p.run ();
+  let w0 = allocated_words () in
+  for _ = 1 to reps do
+    p.run ()
+  done;
+  (allocated_words () -. w0) /. float_of_int (reps * p.ops)
+
+(* [bound] is the primitive's allowance in words per operation (see
+   {!assemble}); native builds only, like {!check_alloc}. *)
+let check_alloc_bound family (p, bound) =
+  if native then begin
+    let w = total_words_per_op p in
+    Printf.printf "%s/%s: %.0f words/op (bound %.0f)\n" family p.name w bound;
+    if w > bound then begin
+      Printf.eprintf
+        "%s/%s: allocation regression — %.0f words/op, bound %.0f\n" family
+        p.name w bound;
       exit 1
     end
   end

@@ -36,7 +36,12 @@ let run ?(algo = Fast) g ~src ~dst =
       })
     res
 
-let total_payment r = Array.fold_left ( +. ) 0.0 r.payments
+let total_payment r =
+  let s = ref 0.0 in
+  for i = 0 to Array.length r.payments - 1 do
+    s := !s +. r.payments.(i)
+  done;
+  !s
 
 let payment_to_edge r e = r.payments.(e)
 

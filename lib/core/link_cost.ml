@@ -42,7 +42,12 @@ let run g ~src ~dst =
     in
     Some (build_result g ~src ~dst ~path ~lcp_cost ~avoid_dist)
 
-let total_payment r = Array.fold_left ( +. ) 0.0 r.payments
+let total_payment r =
+  let s = ref 0.0 in
+  for i = 0 to Array.length r.payments - 1 do
+    s := !s +. r.payments.(i)
+  done;
+  !s
 
 let payment_to r v = r.payments.(v)
 
@@ -74,7 +79,8 @@ let all_to_root ?(pool = Wnet_par.sequential) g ~root =
                path = o.S.path;
                lcp_cost = o.S.lcp_cost;
                relay_cost = o.S.relay_cost;
-               payments = o.S.payments;
+               payments =
+                 Wnet_session.dense_payments ~n o.S.relays o.S.payments;
              }))
         b.S.results;
   }

@@ -63,7 +63,12 @@ let run scheme g ~src ~dst =
     done;
     Some { scheme_used = scheme; src; dst; path; lcp_cost; payments }
 
-let total_payment r = Array.fold_left ( +. ) 0.0 r.payments
+let total_payment r =
+  let s = ref 0.0 in
+  for i = 0 to Array.length r.payments - 1 do
+    s := !s +. r.payments.(i)
+  done;
+  !s
 
 let payment_to r v = r.payments.(v)
 

@@ -32,7 +32,12 @@ let run ?algo g ~src ~dst =
   in
   Option.map (fun r -> of_replacements g r ~src ~dst) res
 
-let total_payment r = Array.fold_left ( +. ) 0.0 r.payments
+let total_payment r =
+  let s = ref 0.0 in
+  for i = 0 to Array.length r.payments - 1 do
+    s := !s +. r.payments.(i)
+  done;
+  !s
 
 let payment_to r v = r.payments.(v)
 
@@ -71,7 +76,8 @@ let all_to_root ?(pool = Wnet_par.sequential) g ~root =
            dst = root;
            path = o.S.path;
            lcp_cost = o.S.lcp_cost;
-           payments = o.S.payments;
+           payments =
+             Wnet_session.dense_payments ~n o.S.relays o.S.payments;
          }))
     (S.payments s)
 

@@ -59,16 +59,20 @@ let out_links g u = g.out_adj.(u)
 
 let out_degree g u = Array.length g.out_adj.(u)
 
+(* Top level rather than local to [weight], so a lookup builds no
+   closure: the payment assembly reads one weight per relay. *)
+let rec find_weight (a : (int * float) array) v lo hi =
+  if lo >= hi then infinity
+  else
+    let mid = (lo + hi) / 2 in
+    let t, w = a.(mid) in
+    if t = v then w
+    else if t < v then find_weight a v (mid + 1) hi
+    else find_weight a v lo mid
+
 let weight g u v =
   let a = g.out_adj.(u) in
-  let rec bsearch lo hi =
-    if lo >= hi then infinity
-    else
-      let mid = (lo + hi) / 2 in
-      let t, w = a.(mid) in
-      if t = v then w else if t < v then bsearch (mid + 1) hi else bsearch lo mid
-  in
-  bsearch 0 (Array.length a)
+  find_weight a v 0 (Array.length a)
 
 let links g =
   let acc = ref [] in

@@ -227,6 +227,21 @@ let path_in_tree t v =
   let rec up v acc = if v = t.source then v :: acc else up t.parent.(v) (v :: acc) in
   List.rev (up v [])
 
+let path_up t v =
+  if not (reachable t v) then invalid_arg "Dijkstra.path_up: unreachable";
+  let len = ref 1 and u = ref v in
+  while !u <> t.source do
+    u := t.parent.(!u);
+    incr len
+  done;
+  let path = Array.make !len t.source in
+  let u = ref v in
+  for i = 0 to !len - 2 do
+    path.(i) <- !u;
+    u := t.parent.(!u)
+  done;
+  path
+
 let path_to t v =
   if not (reachable t v) then None
   else begin

@@ -96,3 +96,7 @@ val children : tree -> int array array
 val path_in_tree : tree -> int -> int list
 (** Ascending walk [v; parent v; ...; source]; raises
     [Invalid_argument] if [v] is unreachable. *)
+
+val path_up : tree -> int -> Path.t
+(** {!path_in_tree} written straight into an array, with no list in
+    between; raises [Invalid_argument] if [v] is unreachable. *)

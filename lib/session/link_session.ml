@@ -5,6 +5,7 @@ type outcome = {
   path : Path.t;
   lcp_cost : float;
   relay_cost : float;
+  relays : int array;
   payments : float array;
 }
 
@@ -221,7 +222,12 @@ let flush t =
     Hashtbl.reset t.pending;
     t.pending_order <- [];
     t.pending_edits <- 0;
-    if net <> [] then begin
+    if net = [] then begin
+      (* A burst that reverted itself leaves the graph as the shared
+         tree last saw it, so the tree is still exact. *)
+      if Option.is_some t.dyn then t.tree_version <- version t
+    end
+    else begin
       t.inval_passes <- t.inval_passes + 1;
       (* the forward link u -> v is the rev-link v -> u *)
       let redits =
@@ -487,34 +493,25 @@ let payments t =
   | Some (v, batch) when v = version t -> batch
   | _ ->
     let tree = fill_caches t in
-    let nn = n t in
-    let cut = Array.make nn false in
+    let relays, payments, cut =
+      C.assemble tree ~root:t.root ~avoid:(avoid_dist t) ~node:false
+        ~base:(fun k -> Digraph.weight t.g k tree.Dijkstra.parent.(k))
+    in
     let results =
-      Array.init nn (fun src ->
+      Array.init (n t) (fun src ->
           if src = t.root || not (Dijkstra.reachable tree src) then None
           else begin
-            let path = Array.of_list (Dijkstra.path_in_tree tree src) in
+            let path = Dijkstra.path_up tree src in
             let lcp_cost = Dijkstra.dist tree src in
-            let len = Array.length path in
-            let payments = Array.make nn 0.0 in
-            for l = 1 to len - 2 do
-              let k = path.(l) in
-              let used_link = Digraph.weight t.g k path.(l + 1) in
-              let avoid_k = (avoid_dist t k).(src) in
-              let delta = avoid_k -. lcp_cost in
-              payments.(k) <- used_link +. delta;
-              if avoid_k = infinity then cut.(k) <- true
-            done;
-            let first_link =
-              if len >= 2 then Digraph.weight t.g path.(0) path.(1) else 0.0
-            in
+            let first_link = Digraph.weight t.g src path.(1) in
             Some
               {
                 src;
                 path;
                 lcp_cost;
                 relay_cost = lcp_cost -. first_link;
-                payments;
+                relays = relays.(src);
+                payments = payments.(src);
               }
           end)
     in

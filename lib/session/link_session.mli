@@ -41,8 +41,18 @@ type outcome = {
   path : Wnet_graph.Path.t;  (** [src; ...; root] *)
   lcp_cost : float;  (** full directed path cost *)
   relay_cost : float;  (** [lcp_cost] minus the source's first link *)
+  relays : int array;
+      (** the relays on [path] (every node but [src] and the root), in
+          strictly ascending id order *)
   payments : float array;
-      (** per node; [infinity] marks a cut-vertex (monopoly) relay *)
+      (** [payments.(i)] is the VCG payment to [relays.(i)];
+          [infinity] marks a cut-vertex (monopoly) relay.  Every other
+          node is paid nothing and has no entry, so an outcome costs
+          O(|path|), not O(n).  Ascending ids make the left-to-right
+          sum of [payments] bit-identical to the index-order sum of the
+          dense per-node vector: the entries skipped are all [+0.0],
+          and a sum that starts at [+0.0] is never [-0.0], the one
+          value that adding [+0.0] would change. *)
 }
 
 type batch = {

@@ -4,6 +4,7 @@ type outcome = {
   src : int;
   path : Path.t;
   lcp_cost : float;
+  relays : int array;
   payments : float array;
 }
 
@@ -107,39 +108,35 @@ let payments t =
   | _ ->
     flush t;
     let tree = LS.fill_caches t.ls in
-    let nn = n t in
-    let cut = Array.make nn false in
+    let relays, payments, cut =
+      Engine_common.assemble tree ~root:(root t) ~avoid:(LS.avoid_dist t.ls)
+        ~node:true ~base:(Graph.cost t.g)
+    in
     let results =
-      Array.init nn (fun src ->
+      Array.init (n t) (fun src ->
           if src = root t || not (Dijkstra.reachable tree src) then None
-          else begin
-            let path = Array.of_list (Dijkstra.path_in_tree tree src) in
-            let lcp_cost = Dijkstra.dist tree src in
-            let payments = Array.make nn 0.0 in
-            Array.iter
-              (fun k ->
-                let avoid_k = (LS.avoid_dist t.ls k).(src) in
-                payments.(k) <- Graph.cost t.g k +. avoid_k -. lcp_cost;
-                if avoid_k = infinity then cut.(k) <- true)
-              (Path.relays path);
-            Some { src; path; lcp_cost; payments }
-          end)
+          else
+            Some
+              {
+                src;
+                path = Dijkstra.path_up tree src;
+                lcp_cost = Dijkstra.dist tree src;
+                relays = relays.(src);
+                payments = payments.(src);
+              })
     in
     t.unbounded <- Array.to_list (Engine_common.relay_array cut);
     t.last <- Some (t.version, results);
     results
 
 (* The payments table reshaped the way the distributed protocols report
-   it: per source, a (relay, payment) assoc sorted by relay id.  Used as
-   the oracle side of the dsim cross-check. *)
+   it: per source, a (relay, payment) assoc sorted by relay id — the
+   outcome's own order.  Used as the oracle side of the dsim
+   cross-check. *)
 let relay_tables t =
-  let results = payments t in
   Array.map
-    (fun o ->
-      match o with
+    (function
       | None -> []
       | Some o ->
-        Path.relays o.path |> Array.to_list
-        |> List.map (fun k -> (k, o.payments.(k)))
-        |> List.sort compare)
-    results
+        Array.to_list (Array.map2 (fun k p -> (k, p)) o.relays o.payments))
+    (payments t)

@@ -29,8 +29,14 @@ type outcome = {
   src : int;
   path : Wnet_graph.Path.t;  (** [src; ...; root] *)
   lcp_cost : float;  (** relay cost of the path *)
+  relays : int array;
+      (** the relays on [path], in strictly ascending id order *)
   payments : float array;
-      (** per node; [infinity] marks a monopoly (cut-vertex) relay *)
+      (** [payments.(i)] is the VCG payment to [relays.(i)]; [infinity]
+          marks a monopoly (cut-vertex) relay.  Sparse and ordered as in
+          {!Link_session.outcome}, for the same reason: the
+          left-to-right sum is bit-identical to the index-order sum of
+          the dense per-node vector. *)
 }
 
 type stats = Link_session.stats = {
@@ -111,10 +117,11 @@ val payments : t -> outcome option array
 val relay_tables : t -> (int * float) list array
 (** {!payments} reshaped the way the distributed stage-2 protocol
     reports it: entry [src] is the [(relay, payment)] table of [src]'s
-    unicast, sorted by relay id; empty for the root, for sources
-    adjacent to it and for disconnected sources.  This is the oracle
-    side of the dsim cross-check ([Wnet_dsim.Payment_protocol]
-    outcomes compare against it entry for entry). *)
+    unicast, in the outcome's ascending relay order; empty for the
+    root, for sources adjacent to it and for disconnected sources.
+    This is the oracle side of the dsim cross-check
+    ([Wnet_dsim.Payment_protocol] outcomes compare against it entry for
+    entry). *)
 
 val unbounded_relays : t -> int list
 (** Monopoly relays as of the last {!payments}: sorted, derived from

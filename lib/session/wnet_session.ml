@@ -132,7 +132,22 @@ let collect_pay outcomes =
     outcomes;
   { served = List.rev !served; unbounded = !unbounded; total = !total }
 
-let sum_payments p = Array.fold_left ( +. ) 0.0 p
+(* A source's charge: the left-to-right sum of its sparse payments.  The
+   relays are in ascending id order, so this is bit-identical to the
+   index-order sum of the dense per-node vector (the skipped entries are
+   [+0.0]).  A plain loop over a float ref, so no float is boxed per
+   entry. *)
+let sum_payments (p : float array) =
+  let s = ref 0.0 in
+  for i = 0 to Array.length p - 1 do
+    s := !s +. p.(i)
+  done;
+  !s
+
+let dense_payments ~n relays payments =
+  let d = Array.make n 0.0 in
+  Array.iteri (fun i k -> d.(k) <- payments.(i)) relays;
+  d
 
 (* Shard-safe ownership: a session's mutable engine state (topology,
    caches, pending-edit buffers) is single-owner by design.  The sharded

@@ -53,6 +53,12 @@ val of_fields : (string * int) list -> (stats, string) result
 (** Rebuild a record from [(key, value)] pairs; keys may be any subset
     (missing counters default to zero), unknown keys are an [Error]. *)
 
+val dense_payments : n:int -> int array -> float array -> float array
+(** [dense_payments ~n relays payments] spreads a sparse outcome
+    ({!Link_session.outcome}, {!Node_session.outcome}) back into the
+    per-node vector of length [n], [0.0] off the path — the shape the
+    one-shot wrappers return. *)
+
 (** A topology delta, covering both models.  [Set_node_cost] is valid
     only on [`Node] sessions; [Set_link_cost], [Join] and [Rejoin] only
     on [`Link] sessions; [Leave] on both. *)

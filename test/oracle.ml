@@ -14,6 +14,10 @@
      sessions' float association, so payments compare with
      [Float.equal].
 
+   The oracles return dense per-node payment vectors; the comparators
+   hold the sessions' sparse outcomes (ascending relay ids, aligned
+   payments) and their charges to them.
+
    Any correct Dijkstra yields the same float distances: float addition
    of a non-negative weight is monotone and never decreases, so every
    label is the minimum over paths of that path's left-to-right sum,
@@ -146,27 +150,91 @@ let options_equal eq a b =
          | _ -> false)
        a b
 
-(* A link session batch against [link_batch]: paths, costs, payments
-   and to-root distances, all bitwise. *)
-let link_matches (b : LS.batch) (o : LC.batch) =
-  b.LS.root = o.LC.root
-  && floats_equal b.LS.to_root_dist o.LC.to_root_dist
-  && options_equal
-       (fun (x : LS.outcome) (y : LC.t) ->
-         x.LS.src = y.LC.src && x.LS.path = y.LC.path
-         && Float.equal x.LS.lcp_cost y.LC.lcp_cost
-         && Float.equal x.LS.relay_cost y.LC.relay_cost
-         && floats_equal x.LS.payments y.LC.payments)
-       b.LS.results o.LC.results
+(* How a session outcome's sparse payments depart from the oracle's
+   dense per-node vector [dense] for the same [path], if they do:
+   [relays] must be the path's relays in strictly ascending id order,
+   each [payments.(i)] bitwise [dense.(relays.(i))], and the charge —
+   the left fold of [payments] — bitwise the index-order sum of
+   [dense]. *)
+let sparse_mismatch ~path ~relays ~payments dense =
+  let nr = Array.length relays in
+  let expect = List.sort compare (Array.to_list (Path.relays path)) in
+  let rec ascending i =
+    i + 1 >= nr || (relays.(i) < relays.(i + 1) && ascending (i + 1))
+  in
+  if not (ascending 0) then Some "relays not strictly ascending"
+  else if Array.to_list relays <> expect then
+    Some "relays are not the path's relays"
+  else if Array.length payments <> nr then
+    Some "payments not aligned with relays"
+  else
+    match
+      List.find_opt
+        (fun i -> not (Float.equal payments.(i) dense.(relays.(i))))
+        (List.init nr Fun.id)
+    with
+    | Some i ->
+      Some
+        (Printf.sprintf "payment to relay %d is %h, oracle %h" relays.(i)
+           payments.(i) dense.(relays.(i)))
+    | None ->
+      let charge = Array.fold_left ( +. ) 0.0 payments
+      and dense_charge = Array.fold_left ( +. ) 0.0 dense in
+      if Float.equal charge dense_charge then None
+      else Some (Printf.sprintf "charge %h, oracle %h" charge dense_charge)
+
+(* The first source on which two per-source option arrays disagree. *)
+let first_mismatch mismatch a b =
+  if Array.length a <> Array.length b then Some "batch sizes differ"
+  else
+    let rec go i =
+      if i >= Array.length a then None
+      else
+        match (a.(i), b.(i)) with
+        | None, None -> go (i + 1)
+        | Some x, Some y -> (
+          match mismatch x y with
+          | Some m -> Some (Printf.sprintf "source %d: %s" i m)
+          | None -> go (i + 1))
+        | _ -> Some (Printf.sprintf "source %d: served on one side only" i)
+    in
+    go 0
+
+(* A link session batch against [link_batch]: paths, costs, payments,
+   charges and to-root distances, all bitwise; [None] when they agree. *)
+let link_mismatch (b : LS.batch) (o : LC.batch) =
+  if b.LS.root <> o.LC.root then Some "roots differ"
+  else if not (floats_equal b.LS.to_root_dist o.LC.to_root_dist) then
+    Some "to-root distances differ"
+  else
+    first_mismatch
+      (fun (x : LS.outcome) (y : LC.t) ->
+        if x.LS.src <> y.LC.src || x.LS.path <> y.LC.path then
+          Some "paths differ"
+        else if not (Float.equal x.LS.lcp_cost y.LC.lcp_cost) then
+          Some "lcp costs differ"
+        else if not (Float.equal x.LS.relay_cost y.LC.relay_cost) then
+          Some "relay costs differ"
+        else
+          sparse_mismatch ~path:y.LC.path ~relays:x.LS.relays
+            ~payments:x.LS.payments y.LC.payments)
+      b.LS.results o.LC.results
+
+let link_matches b o = link_mismatch b o = None
 
 (* A node session batch against [node_batch]. *)
-let node_matches (x : NS.outcome option array) (y : U.t option array) =
-  options_equal
+let node_mismatch (x : NS.outcome option array) (y : U.t option array) =
+  first_mismatch
     (fun (a : NS.outcome) (b : U.t) ->
-      a.NS.src = b.U.src && a.NS.path = b.U.path
-      && Float.equal a.NS.lcp_cost b.U.lcp_cost
-      && floats_equal a.NS.payments b.U.payments)
+      if a.NS.src <> b.U.src || a.NS.path <> b.U.path then Some "paths differ"
+      else if not (Float.equal a.NS.lcp_cost b.U.lcp_cost) then
+        Some "lcp costs differ"
+      else
+        sparse_mismatch ~path:b.U.path ~relays:a.NS.relays
+          ~payments:a.NS.payments b.U.payments)
     x y
+
+let node_matches x y = node_mismatch x y = None
 
 (* Relays charged [infinity] somewhere in a batch — what
    [unbounded_relays] must report, ascending. *)

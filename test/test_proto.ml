@@ -490,6 +490,153 @@ let test_handle_drives_session () =
   | `Quit [ P.Bye ] -> ()
   | _ -> Alcotest.fail "quit must reply bye and close"
 
+(* Golden pay replies: two small fixed instances (one per model), a
+   pay, an edit, a pay.  The expected strings were recorded from the
+   dense-payment assembly; every text line and every binary byte must
+   stay the same.  The link instance routes source 6 through five relays
+   whose payments are not exactly representable, so a change in the
+   order the charge is summed shows up here, and relay 5 is a cut
+   vertex (charge [inf]). *)
+let golden_link () =
+  Wnet_graph.Digraph.create ~n:7
+    ~links:
+      [
+        (1, 0, 0.3); (2, 1, 0.1); (2, 0, 0.7); (3, 2, 0.2); (3, 1, 1.1);
+        (4, 3, 0.35); (4, 2, 0.9); (5, 4, 0.15); (5, 3, 1.45); (6, 5, 0.6);
+        (1, 2, 0.4); (0, 1, 0.3);
+      ]
+
+let golden_node () =
+  Wnet_graph.Graph.create
+    ~costs:[| 0.0; 0.3; 0.1; 0.7; 0.2; 1.1; 0.35; 0.15 |]
+    ~edges:
+      [
+        (0, 1); (0, 3); (1, 2); (2, 4); (3, 4); (1, 3); (4, 6); (2, 6);
+        (3, 5); (6, 7); (5, 6);
+      ]
+
+(* The replies to [reqs], as text lines and as the hex of one binary
+   frame batch per request. *)
+let golden_transcript session reqs =
+  let enc = Wnet_proto_bin.enc_create () in
+  List.map
+    (fun r ->
+      let rs = P.handle session r in
+      Wnet_proto_bin.enc_reset enc;
+      Wnet_proto_bin.encode_responses enc rs;
+      let bin =
+        Bytes.sub_string
+          (Wnet_proto_bin.enc_buffer enc)
+          (Wnet_proto_bin.enc_offset enc)
+          (Wnet_proto_bin.enc_pending enc)
+      in
+      ( List.map P.print_response rs,
+        String.concat ""
+          (List.init (String.length bin) (fun i ->
+               Printf.sprintf "%02x" (Char.code bin.[i]))) ))
+    reqs
+
+let check_golden what session reqs expected =
+  List.iteri
+    (fun i ((text, hex), (text', hex')) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s reply %d (text)" what i)
+        text' text;
+      Alcotest.(check string)
+        (Printf.sprintf "%s reply %d (binary)" what i)
+        hex' hex)
+    (List.combine (golden_transcript session reqs) expected)
+
+let golden_link_expected =
+  [
+    ( [
+        "src 1: path 1 -> 0, charge 0";
+        "src 2: path 2 -> 1 -> 0, charge 0.59999999999999987";
+        "src 3: path 3 -> 2 -> 1 -> 0, charge 1.5";
+        "src 4: path 4 -> 3 -> 2 -> 1 -> 0, charge 2.05";
+        "src 5: path 5 -> 4 -> 3 -> 2 -> 1 -> 0, charge 3.3499999999999992";
+        "src 6: path 6 -> 5 -> 4 -> 3 -> 2 -> 1 -> 0, charge inf";
+        "ok served=6 unbounded=1 total=7.4999999999999982";
+      ],
+      "e500000007004301000000020000000100000000000000000000000000000043\
+       0200000003000000020000000100000000000000323333333333e33f43030000\
+       000400000003000000020000000100000000000000000000000000f83f430400\
+       0000050000000400000003000000020000000100000000000000666666666666\
+       0040430500000006000000050000000400000003000000020000000100000000\
+       000000cbcccccccccc0a40430600000007000000060000000500000004000000\
+       03000000020000000100000000000000000000000000f07f4406000000010000\
+       00feffffffffff1d40" );
+    ([ "ok version=1" ], "0b0000000100420100000000000000");
+    ( [
+        "src 1: path 1 -> 0, charge 0";
+        "src 2: path 2 -> 1 -> 0, charge 0.59999999999999987";
+        "src 3: path 3 -> 2 -> 1 -> 0, charge 1.45";
+        "src 4: path 4 -> 3 -> 2 -> 1 -> 0, charge 1.9999999999999998";
+        "src 5: path 5 -> 4 -> 3 -> 2 -> 1 -> 0, charge 3.3";
+        "src 6: path 6 -> 5 -> 4 -> 3 -> 2 -> 1 -> 0, charge inf";
+        "ok served=6 unbounded=1 total=7.35";
+      ],
+      "e500000007004301000000020000000100000000000000000000000000000043\
+       0200000003000000020000000100000000000000323333333333e33f43030000\
+       000400000003000000020000000100000000000000333333333333f73f430400\
+       0000050000000400000003000000020000000100000000000000ffffffffffff\
+       ff3f430500000006000000050000000400000003000000020000000100000000\
+       0000006666666666660a40430600000007000000060000000500000004000000\
+       03000000020000000100000000000000000000000000f07f4406000000010000\
+       006666666666661d40" );
+  ]
+
+let golden_node_expected =
+  [
+    ( [
+        "src 1: path 1 -> 0, charge 0";
+        "src 2: path 2 -> 1 -> 0, charge 0.89999999999999991";
+        "src 3: path 3 -> 0, charge 0";
+        "src 4: path 4 -> 2 -> 1 -> 0, charge 0.99999999999999989";
+        "src 5: path 5 -> 3 -> 0, charge 0.75";
+        "src 6: path 6 -> 2 -> 1 -> 0, charge 1.4";
+        "src 7: path 7 -> 6 -> 2 -> 1 -> 0, charge inf";
+        "ok served=7 unbounded=1 total=4.05";
+      ],
+      "e600000008004301000000020000000100000000000000000000000000000043\
+       0200000003000000020000000100000000000000ccccccccccccec3f43030000\
+       0002000000030000000000000000000000000000004304000000040000000400\
+       0000020000000100000000000000ffffffffffffef3f43050000000300000005\
+       0000000300000000000000000000000000e83f43060000000400000006000000\
+       020000000100000000000000666666666666f63f430700000005000000070000\
+       0006000000020000000100000000000000000000000000f07f44070000000100\
+       00003333333333331040" );
+    ([ "ok version=1" ], "0b0000000100420100000000000000");
+    ( [
+        "src 1: path 1 -> 0, charge 0";
+        "src 2: path 2 -> 1 -> 0, charge 1.15";
+        "src 3: path 3 -> 0, charge 0";
+        "src 4: path 4 -> 2 -> 1 -> 0, charge 0.99999999999999989";
+        "src 5: path 5 -> 3 -> 0, charge 0.75";
+        "src 6: path 6 -> 2 -> 1 -> 0, charge 1.9";
+        "src 7: path 7 -> 6 -> 2 -> 1 -> 0, charge inf";
+        "ok served=7 unbounded=1 total=4.8";
+      ],
+      "e600000008004301000000020000000100000000000000000000000000000043\
+       0200000003000000020000000100000000000000666666666666f23f43030000\
+       0002000000030000000000000000000000000000004304000000040000000400\
+       0000020000000100000000000000ffffffffffffef3f43050000000300000005\
+       0000000300000000000000000000000000e83f43060000000400000006000000\
+       020000000100000000000000666666666666fe3f430700000005000000070000\
+       0006000000020000000100000000000000000000000000f07f44070000000100\
+       00003333333333331340" );
+  ]
+
+let test_golden_pay () =
+  check_golden "link"
+    (W.make ~root:0 (`Link (golden_link ())))
+    [ P.Pay; P.Cost_link { u = 3; v = 2; w = 0.25 }; P.Pay ]
+    golden_link_expected;
+  check_golden "node"
+    (W.make ~root:0 (`Node (golden_node ())))
+    [ P.Pay; P.Cost_node { node = 4; cost = 0.45 }; P.Pay ]
+    golden_node_expected
+
 let suite =
   [
     Alcotest.test_case "blank lines and comments are silent" `Quick
@@ -503,6 +650,8 @@ let suite =
       `Quick test_shard_wire;
     Alcotest.test_case "handle drives a session end to end" `Quick
       test_handle_drives_session;
+    Alcotest.test_case "golden pay replies, text and binary" `Quick
+      test_golden_pay;
     Test_util.qcheck_case ~count:500 "float_to_string round-trips bitwise"
       float_gen float_roundtrip_prop;
     Test_util.qcheck_case ~count:500 "parse_request (print_request r) = r"

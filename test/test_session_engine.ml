@@ -33,6 +33,7 @@ let link_batches_equal (a : LS.batch) (b : LS.batch) =
            x.LS.src = y.LS.src && x.LS.path = y.LS.path
            && Float.equal x.LS.lcp_cost y.LS.lcp_cost
            && Float.equal x.LS.relay_cost y.LS.relay_cost
+           && x.LS.relays = y.LS.relays
            && floats_equal x.LS.payments y.LS.payments
          | _ -> false)
        a.LS.results b.LS.results
@@ -174,6 +175,62 @@ let node_equiv_prop seed =
       done;
       true)
 
+(* ---------------- sparse outcome shape ---------------- *)
+
+(* Every outcome of both models, after every op of a random edit, churn
+   and (link model) rejoin sequence, at pool sizes 1 and 3: [relays] is
+   the path's relays in strictly ascending order, [payments.(i)] is
+   bitwise the dense oracle's entry for [relays.(i)], and the left-fold
+   charge is bitwise the oracle's index-order sum.  The instances are
+   random recursive trees plus a few chords, 30 to 80 nodes, so paths
+   carry many relays whose path order differs from their id order. *)
+let deep_digraph rng =
+  let g = Test_util.random_sparse_graph ~min_n:30 ~max_n:80 rng in
+  let links = ref [] in
+  for u = 0 to Graph.n g - 1 do
+    Array.iter
+      (fun v -> links := (u, v, Rng.float_range rng 0.5 10.0) :: !links)
+      (Graph.neighbors g u)
+  done;
+  Digraph.create ~n:(Graph.n g) ~links:!links
+
+let sparse_shape_prop seed =
+  let rng = Rng.create seed in
+  let nops = 3 + Rng.int rng 6 in
+  let report what label = function
+    | None -> ()
+    | Some m -> QCheck2.Test.fail_reportf "%s, %s: %s" what label m
+  in
+  List.iter
+    (fun domains ->
+      Par.with_pool ~domains (fun pool ->
+          let what = Printf.sprintf "pool %d" domains in
+          let lrng = Rng.create (seed lxor 0x3c6ef372) in
+          let ls = LS.create ~pool (deep_digraph lrng) ~root:0 in
+          let check_link label =
+            report ("link, " ^ what) label
+              (Oracle.link_mismatch (LS.payments ls)
+                 (Oracle.link_batch (LS.snapshot ls) ~root:0))
+          in
+          let nrng = Rng.create (seed lxor 0x1b873593) in
+          let g = Test_util.random_sparse_graph ~min_n:30 ~max_n:80 nrng in
+          let ns = NS.create ~pool g ~root:0 in
+          let check_node label =
+            report ("node, " ^ what) label
+              (Oracle.node_mismatch (NS.payments ns)
+                 (Oracle.node_batch (NS.graph ns) ~root:0))
+          in
+          check_link "initial";
+          check_node "initial";
+          for i = 1 to nops do
+            apply_random_op lrng ls;
+            apply_random_node_op nrng ns;
+            check_link (Printf.sprintf "after op %d" i);
+            check_node (Printf.sprintf "after op %d" i)
+          done))
+    [ 1; 3 ];
+  true
+
 (* ---------------- in-place digraph mutation ---------------- *)
 
 let test_digraph_mutation () =
@@ -264,7 +321,10 @@ let test_cut_vertex_tracking () =
   let s = LS.create g ~root:0 in
   let b = LS.payments s in
   (match b.LS.results.(2) with
-  | Some o -> check_exact "monopoly relay is paid infinity" infinity o.LS.payments.(1)
+  | Some o ->
+    Alcotest.(check (array int)) "relay 1 is the only relay" [| 1 |]
+      o.LS.relays;
+    check_exact "monopoly relay is paid infinity" infinity o.LS.payments.(0)
   | None -> Alcotest.fail "source 2 should be served");
   Alcotest.(check (list int)) "relay 1 reported unbounded" [ 1 ]
     (LS.unbounded_relays s);
@@ -273,7 +333,7 @@ let test_cut_vertex_tracking () =
   (match b.LS.results.(2) with
   | Some o ->
     (* used link 1 + (avoidance 10 - lcp 2) *)
-    check_exact "alternate route bounds the payment" 9.0 o.LS.payments.(1)
+    check_exact "alternate route bounds the payment" 9.0 o.LS.payments.(0)
   | None -> Alcotest.fail "source 2 should be served");
   Alcotest.(check (list int)) "no unbounded relays left" []
     (LS.unbounded_relays s)
@@ -347,6 +407,8 @@ let test_reverted_burst () =
     st0.LS.inval_passes st1.LS.inval_passes;
   Alcotest.(check int) "reverted edits still counted coalesced"
     (st0.LS.coalesced_edits + 2) st1.LS.coalesced_edits;
+  Alcotest.(check int) "reverted burst keeps the shared tree"
+    st0.LS.spt_runs st1.LS.spt_runs;
   Alcotest.(check bool) "reverted burst leaves the batch bitwise" true
     (link_batches_equal before after)
 
@@ -545,4 +607,7 @@ let suite =
     Test_util.qcheck_case ~count:60
       "node session: random edit sequences = boxed oracle batch (bits)"
       Test_util.seed_gen node_equiv_prop;
+    Test_util.qcheck_case ~count:40
+      "sparse outcomes: ascending relays, oracle payments and charges (bits)"
+      Test_util.seed_gen sparse_shape_prop;
   ]
