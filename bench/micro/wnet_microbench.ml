@@ -35,6 +35,28 @@ let inner_ops = 256
 
 (* ---------------- proto encode ---------------- *)
 
+(* The paper's deployment (2000 m square, 300 m range, kappa = 2), a
+   connected placement, rooted at node 0. *)
+let udg_placement ~n ~seed =
+  match
+    Wnet_topology.Udg.generate_connected (Wnet_prng.Rng.create seed)
+      ~region:Wnet_geom.Region.paper_region ~n ~range:300.0 ~max_tries:10_000
+  with
+  | Some t -> t
+  | None -> failwith (Printf.sprintf "no connected placement at n=%d" n)
+
+(* A real text pay reply: a node-model session at n = 400 with relay
+   costs in [1, 10), one [src] line per served source plus the [ok]
+   summary. *)
+let node_pay_reply () =
+  let n = 400 in
+  let costs =
+    Wnet_topology.Udg.uniform_node_costs (Wnet_prng.Rng.create n) ~n ~lo:1.0
+      ~hi:10.0
+  in
+  let g = Wnet_topology.Udg.node_graph (udg_placement ~n ~seed:n) ~costs in
+  P.handle (Wnet_session.make ~root:0 (`Node g)) P.Pay
+
 let proto_encode () =
   let enc = B.enc_create () in
   let cost = P.Cost_link { u = 17; v = 23; w = 4.625 } in
@@ -42,6 +64,14 @@ let proto_encode () =
   let edit_batch = List.init 16 (fun i -> P.Cost_link { u = i; v = i + 1; w = 0.5 +. float_of_int i }) in
   let served =
     P.Served { src = 41; path = [ 41; 17; 3; 0 ]; charge = 12.125 }
+  in
+  let out = P.sink_create () and ack = P.Ack { version = 1234; node = None } in
+  let pay_reply = node_pay_reply () in
+  let rec write_lines = function
+    | [] -> ()
+    | r :: rs ->
+      P.write_response out r;
+      write_lines rs
   in
   [
     {
@@ -90,9 +120,40 @@ let proto_encode () =
           done);
     };
     {
+      name = "text/ack";
+      ops = inner_ops;
+      alloc_free = true;
+      run =
+        (fun () ->
+          for _ = 1 to inner_ops do
+            P.write_response out ack;
+            P.sink_reset out
+          done);
+    };
+    {
+      name = "text/served";
+      ops = inner_ops;
+      alloc_free = true;
+      run =
+        (fun () ->
+          for _ = 1 to inner_ops do
+            P.write_response out served;
+            P.sink_reset out
+          done);
+    };
+    {
+      name = "text/pay-reply";
+      ops = List.length pay_reply (* per line *);
+      alloc_free = true;
+      run =
+        (fun () ->
+          write_lines pay_reply;
+          P.sink_reset out);
+    };
+    {
       name = "text/cost-link";
       ops = inner_ops;
-      alloc_free = false (* Printf builds a fresh string per line *);
+      alloc_free = false (* a fresh string per line *);
       run =
         (fun () ->
           for _ = 1 to inner_ops do
@@ -456,16 +517,6 @@ let avoid_region () =
   ]
 
 (* ---------------- payment assembly ---------------- *)
-
-(* The paper's deployment (2000 m square, 300 m range, kappa = 2), a
-   connected placement, rooted at node 0. *)
-let udg_placement ~n ~seed =
-  match
-    Wnet_topology.Udg.generate_connected (Wnet_prng.Rng.create seed)
-      ~region:Wnet_geom.Region.paper_region ~n ~range:300.0 ~max_tries:10_000
-  with
-  | Some t -> t
-  | None -> failwith (Printf.sprintf "no connected placement at n=%d" n)
 
 (* A cache-hit [payments] rebuild: one cost edit and its revert (a burst
    that cancels, so the shared tree and every avoidance array stay

@@ -47,10 +47,23 @@
     and the [conn] line only with its [proto] token: the one peer is
     this repo's own [unicast client].
 
-    Floats print in the shortest decimal form that parses back to the
-    identical bit pattern ([inf] for infinity), so replies round-trip
+    A float prints as C's [%.12g] when that reads back to the identical
+    bit pattern, and as [%.17g] otherwise ([inf] for infinity).  That is
+    not the shortest round-tripping form: a value whose shortest form
+    has 13 to 16 digits prints 17.  Either way replies round-trip
     exactly — the socket integration test compares charges received as
-    text against an in-process oracle with [Float.equal]. *)
+    text against an in-process oracle with [Float.equal].
+
+    {2 Printing into a sink}
+
+    Every line is printed by one writer that appends bytes to a growable
+    {!sink}; the binary codec ({!Wnet_proto_bin}) appends its frames to
+    the same type, so a connection keeps one output buffer for both
+    codecs.  Integers are printed by a digit loop, and floats in
+    [1e-4 <= |x| < 1e12] by exact integer arithmetic on the bits, so
+    neither calls C's [printf]; once the sink has grown to its working
+    size, writing an ack, a [src] line or a whole pay reply allocates
+    nothing. *)
 
 val version : int
 (** Protocol version, announced in the [ready] banner.  Bump on any
@@ -121,9 +134,42 @@ type response =
   | Bye
   | Err of string
 
+(** {2 Output sink} *)
+
+type sink = {
+  mutable buf : Bytes.t;
+  mutable off : int;  (** first byte not yet consumed *)
+  mutable len : int;  (** end of the written bytes *)
+}
+(** A growable output buffer: bytes [[off, len)] of [buf] are written
+    and not yet handed to the transport.  Writers append at [len] after
+    {!sink_ensure}; growing keeps every byte at its offset, so a
+    position taken before an append stays valid after it.  [buf] may be
+    replaced by any append. *)
+
+val sink_create : ?cap:int -> unit -> sink
+val sink_pending : sink -> int
+(** Bytes written and not yet consumed. *)
+
+val sink_consume : sink -> int -> unit
+(** Mark [n] leading pending bytes as written to the transport; a sink
+    drained to empty restarts at offset 0.
+    @raise Invalid_argument if [n] exceeds {!sink_pending}. *)
+
+val sink_reset : sink -> unit
+(** Drop all pending bytes (keeps the buffer). *)
+
+val sink_ensure : sink -> int -> unit
+(** [sink_ensure s k] makes room for [k] more bytes at [s.len]. *)
+
+val write_response : sink -> response -> unit
+(** Append the response's wire line and its ['\n']. *)
+
+(** {2 Lines} *)
+
 val float_to_string : float -> string
-(** Shortest decimal form that [float_of_string]s back to the identical
-    value; ["inf"]/["-inf"]/["nan"] for the non-finite values. *)
+(** [%.12g] if that [float_of_string]s back to the identical value, else
+    [%.17g]; ["inf"]/["-inf"]/["nan"] for the non-finite values. *)
 
 val parse_request : string -> (request option, string) result
 (** [Ok None] for blank lines and [#] comments; [Error reason] on a
@@ -136,7 +182,12 @@ val print_request : request -> string
 
 val parse_response : string -> (response, string) result
 val print_response : response -> string
-(** Canonical wire form; [parse_response (print_response r) = Ok r]. *)
+(** Canonical wire form, {!write_response} without the ['\n'];
+    [parse_response (print_response r) = Ok r]. *)
+
+val parse_served : string -> (response, string) result
+(** The [src N: path a -> ... -> 0, charge X] line, scanned in place
+    ({!parse_response} calls it for lines whose first token is [src]). *)
 
 val greeting : ?proto:int -> (module Wnet_session.S) -> response
 (** The [ready] banner a front-end sends when a session opens.

@@ -56,10 +56,12 @@ val max_batch : int
 
 (** {2 Encoding} *)
 
-type enc
-(** A growable output scratch.  Encoded frames accumulate; the
-    transport drains them with {!enc_buffer}/{!enc_offset}/
-    {!enc_pending} + {!enc_consume} (partial writes supported). *)
+type enc = Wnet_proto.sink
+(** The text codec's growable output sink.  Encoded frames accumulate;
+    the transport drains them with {!enc_buffer}/{!enc_offset}/
+    {!enc_pending} + {!enc_consume} (partial writes supported).  A
+    connection that upgrades keeps one sink: the text [ready] banner and
+    the frames after it sit in order in the same buffer. *)
 
 val enc_create : ?cap:int -> unit -> enc
 val enc_pending : enc -> int

@@ -21,6 +21,13 @@
      buffer, frame decoder, pending output) with it, and the source
      shard stops touching it the moment it is pushed.
 
+   Buffers: text input is a [Bytes] window [ipos, ilen) compacted once
+   per read and cut at '\n' in place; a partial line longer than
+   [Wnet_proto_bin.max_frame] is refused with [err line too long] +
+   [bye].  Both codecs append replies to the one output sink, which the
+   socket drains in order, so an upgrade's text banner simply precedes
+   the first frame.
+
    Each session's edit stream is therefore applied by exactly one
    domain in arrival order, which is the single-threaded serve loop's
    contract — payments stay bit-identical at every shard count. *)
@@ -30,9 +37,11 @@ module B = Wnet_proto_bin
 type conn = {
   fd : Unix.file_descr;
   mutable proto : int;  (* 1 = lines, 2 = binary frames *)
-  mutable inbuf : string;  (* partial line, no '\n' yet *)
-  mutable out : string;  (* rendered text replies not yet written *)
-  benc : B.enc;
+  mutable ibuf : Bytes.t;  (* reads; unread text in [ipos, ilen) *)
+  mutable ipos : int;
+  mutable ilen : int;
+  mutable iscan : int;  (* no '\n' in [ipos, iscan) *)
+  out : Wnet_proto.sink;  (* replies of either codec, not yet written *)
   bdec : B.dec;
   bview : B.view;
   mutable last_active : float;
@@ -201,14 +210,18 @@ let snapshot sh =
       })
     sh.pubs
 
+let read_size = 4096
+
 let new_conn fd ~session =
   Unix.set_nonblock fd;
   {
     fd;
     proto = Wnet_proto.version;
-    inbuf = "";
-    out = "";
-    benc = B.enc_create ();
+    ibuf = Bytes.create read_size;
+    ipos = 0;
+    ilen = 0;
+    iscan = 0;
+    out = Wnet_proto.sink_create ();
     bdec = B.dec_create ();
     bview = B.make_view ();
     last_active = Unix.gettimeofday ();
@@ -259,60 +272,79 @@ type t = {
   mutable bytes_out : int;
 }
 
-let render rs =
-  String.concat "" (List.map (fun r -> Wnet_proto.print_response r ^ "\n") rs)
+let rec write_lines out = function
+  | [] -> ()
+  | r :: rs ->
+    Wnet_proto.write_response out r;
+    write_lines out rs
 
 let queue (c : conn) rs =
   if rs <> [] then
-    if c.proto = 2 then B.encode_responses c.benc rs
-    else c.out <- c.out ^ render rs
+    if c.proto = 2 then B.encode_responses c.out rs else write_lines c.out rs
 
-let pending_out (c : conn) = String.length c.out + B.enc_pending c.benc
+let pending_out (c : conn) = Wnet_proto.sink_pending c.out
 
 let close_conn (t : t) (c : conn) =
   (try Unix.close c.fd with Unix.Unix_error _ -> ());
   t.conns <- List.filter (fun c' -> c' != c) t.conns
 
-(* Write as much pending output as the socket accepts right now; text
-   before frames (both are only pending together right after a codec
-   upgrade, when the text banner precedes the first frame). *)
+(* Write as much pending output as the socket accepts right now. *)
 let flush_some (t : t) (c : conn) =
-  let account n =
-    c.bytes_out <- c.bytes_out + n;
-    t.bytes_out <- t.bytes_out + n
-  in
+  let out = c.out in
   try
-    let len = String.length c.out in
+    let len = Wnet_proto.sink_pending out in
     if len > 0 then begin
-      let n = Unix.write_substring c.fd c.out 0 len in
-      c.out <- String.sub c.out n (len - n);
-      account n
-    end;
-    let blen = B.enc_pending c.benc in
-    if c.out = "" && blen > 0 then begin
-      let n =
-        Unix.write c.fd (B.enc_buffer c.benc) (B.enc_offset c.benc) blen
-      in
-      B.enc_consume c.benc n;
-      account n
+      let n = Unix.write c.fd out.buf out.off len in
+      Wnet_proto.sink_consume out n;
+      c.bytes_out <- c.bytes_out + n;
+      t.bytes_out <- t.bytes_out + n
     end
   with
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> close_conn t c
 
-(* Split off the first complete line; the tail stays buffered. *)
+let rec find_newline b i stop =
+  if i >= stop then -1
+  else if Bytes.unsafe_get b i = '\n' then i
+  else find_newline b (i + 1) stop
+
+(* Copy out the first complete line (CR stripped) and step past it;
+   the scan resumes where the last one stopped, so a line dripped in
+   over many reads is searched once. *)
 let next_line (c : conn) =
-  match String.index_opt c.inbuf '\n' with
-  | None -> None
-  | Some i ->
-    let line = String.sub c.inbuf 0 i in
-    let line =
-      if line <> "" && line.[String.length line - 1] = '\r' then
-        String.sub line 0 (String.length line - 1)
-      else line
+  match find_newline c.ibuf c.iscan c.ilen with
+  | -1 ->
+    c.iscan <- c.ilen;
+    None
+  | i ->
+    let stop =
+      if i > c.ipos && Bytes.get c.ibuf (i - 1) = '\r' then i - 1 else i
     in
-    c.inbuf <- String.sub c.inbuf (i + 1) (String.length c.inbuf - i - 1);
+    let line = Bytes.sub_string c.ibuf c.ipos (stop - c.ipos) in
+    c.ipos <- i + 1;
+    c.iscan <- i + 1;
     Some line
+
+(* Make room for one read at [ilen]: move the unread bytes to the front
+   (once per read), growing the buffer if a long line fills it. *)
+let compact_input (c : conn) =
+  let live = c.ilen - c.ipos in
+  if c.ipos > 0 then begin
+    Bytes.blit c.ibuf c.ipos c.ibuf 0 live;
+    c.iscan <- c.iscan - c.ipos;
+    c.ipos <- 0;
+    c.ilen <- live
+  end;
+  if Bytes.length c.ibuf - live < read_size then begin
+    let nb = Bytes.create (2 * Bytes.length c.ibuf) in
+    Bytes.blit c.ibuf 0 nb 0 live;
+    c.ibuf <- nb
+  end
+
+let clear_input (c : conn) =
+  c.ipos <- 0;
+  c.ilen <- 0;
+  c.iscan <- 0
 
 (* Refresh this shard's published counters: the connection-level tallies
    plus a roll-up of the sessions this shard owns.  Single writer, so
@@ -440,10 +472,8 @@ let process (t : t) (c : conn) parsed =
         queue c [ Wnet_proto.greeting ~proto:B.version sess ];
         if c.proto <> B.version then begin
           c.proto <- B.version;
-          if c.inbuf <> "" then begin
-            B.dec_feed_string c.bdec c.inbuf 0 (String.length c.inbuf);
-            c.inbuf <- ""
-          end
+          B.dec_feed c.bdec c.ibuf c.ipos (c.ilen - c.ipos);
+          clear_input c
         end
       end
       else if p = Wnet_proto.version && c.proto = Wnet_proto.version then
@@ -505,7 +535,16 @@ let rec drain_input (t : t) (c : conn) =
       | Some line ->
         process t c (Wnet_proto.parse_request line);
         drain_input t c
-      | None -> ()
+      | None ->
+        if c.ilen - c.ipos > B.max_frame then begin
+          (* No newline within a frame's worth of bytes: refuse the
+             line rather than buffer it without bound. *)
+          c.requests <- c.requests + 1;
+          t.requests <- t.requests + 1;
+          clear_input c;
+          queue c [ Wnet_proto.Err "line too long"; Wnet_proto.Bye ];
+          c.closing <- true
+        end
 
 let handoff (t : t) (c : conn) =
   match c.migrate with
@@ -555,9 +594,12 @@ let adopt_pending (t : t) =
       go ())
     t.sh.rings.(t.id)
 
+(* Bytes are read straight into the connection's line buffer; frames
+   are passed on to the frame decoder, so in proto 2 the buffer stays
+   empty. *)
 let handle_readable (t : t) (c : conn) =
-  let bytes = Bytes.create 4096 in
-  match Unix.read c.fd bytes 0 4096 with
+  compact_input c;
+  match Unix.read c.fd c.ibuf c.ilen (Bytes.length c.ibuf - c.ilen) with
   | 0 ->
     (* Client half-closed: answer what is already buffered, then go.
        If the buffered input ended in a cross-shard attach, the new
@@ -572,8 +614,8 @@ let handle_readable (t : t) (c : conn) =
   | n ->
     c.bytes_in <- c.bytes_in + n;
     t.bytes_in <- t.bytes_in + n;
-    if c.proto = 2 then B.dec_feed c.bdec bytes 0 n
-    else c.inbuf <- c.inbuf ^ Bytes.sub_string bytes 0 n;
+    if c.proto = 2 then B.dec_feed c.bdec c.ibuf c.ilen n
+    else c.ilen <- c.ilen + n;
     drain_input t c;
     if c.migrate <> None then handoff t c
     else begin

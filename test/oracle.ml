@@ -18,6 +18,10 @@
    hold the sessions' sparse outcomes (ascending relay ids, aligned
    payments) and their charges to them.
 
+   Two text-codec references sit at the end: the [Printf] float printer
+   and the tokenizing served-line parser that [Wnet_proto]'s in-place
+   writer and scanner replaced.
+
    Any correct Dijkstra yields the same float distances: float addition
    of a non-negative weight is monotone and never decreases, so every
    label is the minimum over paths of that path's left-to-right sum,
@@ -253,3 +257,51 @@ let link_unbounded (o : LC.batch) =
 
 let node_unbounded (y : U.t option array) =
   unbounded (fun (r : U.t) -> r.U.payments) y
+
+(* ---------------- text codec references ---------------- *)
+
+(* [%.12g] if it reads back to the same bits, else [%.17g]. *)
+let float_to_string f =
+  let s = Printf.sprintf "%.12g" f in
+  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
+
+let tokens line =
+  String.split_on_char ' '
+    (String.map (fun c -> if c = '\t' then ' ' else c) line)
+  |> List.filter (fun t -> t <> "")
+
+(* Split [s] at the first occurrence of substring [sep]. *)
+let cut ~sep s =
+  let n = String.length s and m = String.length sep in
+  let rec go i =
+    if i + m > n then None
+    else if String.sub s i m = sep then
+      Some (String.sub s 0 i, String.sub s (i + m) (n - i - m))
+    else go (i + 1)
+  in
+  go 0
+
+let parse_served line =
+  let bad () = Error (Printf.sprintf "bad served line %S" line) in
+  match cut ~sep:"src " line with
+  | Some ("", rest) -> (
+    match cut ~sep:": path " rest with
+    | Some (src_s, rest) -> (
+      match cut ~sep:", charge " rest with
+      | Some (path_s, charge_s) -> (
+        match (int_of_string_opt src_s, float_of_string_opt charge_s) with
+        | Some src, Some charge -> (
+          let hops = tokens path_s |> List.filter (fun t -> t <> "->") in
+          let rec ints = function
+            | [] -> Some []
+            | t :: rest ->
+              Option.bind (int_of_string_opt t) (fun i ->
+                  Option.map (List.cons i) (ints rest))
+          in
+          match ints hops with
+          | Some path -> Ok (Wnet_proto.Served { src; path; charge })
+          | None -> bad ())
+        | _ -> bad ())
+      | None -> bad ())
+    | None -> bad ())
+  | _ -> bad ()

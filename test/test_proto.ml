@@ -281,6 +281,103 @@ let response_roundtrip_prop r =
     Test.fail_reportf "response failed to re-parse: %s (%s)"
       (P.print_response r) m
 
+(* ---------------- the writer against its references ---------------- *)
+
+(* Floats that stress the writer's digit arithmetic: every bit pattern
+   (negative, subnormal, +-0, +-inf, nan), short decimals and integers,
+   the ends of its exact range one ulp either side, a 12-digit tie,
+   powers of two (whose lower rounding interval is half as wide) and
+   values whose 12-digit rounding carries into a new power of ten. *)
+let writer_float_gen =
+  let pow10 k = float_of_string ("1e" ^ string_of_int k) in
+  let near f = Gen.oneofl [ f; Float.pred f; Float.succ f; -.f ] in
+  Gen.oneof
+    [
+      Gen.map Int64.float_of_bits Gen.int64;
+      Gen.oneofl [ 0.0; -0.0; infinity; neg_infinity; nan; -.nan; 999999999999.5 ];
+      Gen.map2
+        (fun d k -> float_of_int d /. pow10 k)
+        (Gen.int_range 0 999_999) (Gen.int_range 0 12);
+      Gen.map2
+        (fun d k -> float_of_int d *. pow10 k)
+        (Gen.int_range (-999) 999) (Gen.int_range (-6) 14);
+      Gen.map float_of_int (Gen.int_range (-1_000_000_000_000) 1_000_000_000_000);
+      Gen.(oneofl [ 1e-4; 1e12; 999999999999.5 ] >>= near);
+      Gen.(map (ldexp 1.0) (int_range (-20) 45) >>= near);
+      Gen.map2
+        (fun tail k ->
+          float_of_string (Printf.sprintf "9.99999999999%de%d" tail k))
+        (Gen.int_range 5 99999) (Gen.int_range (-5) 12);
+      Gen.map2
+        (fun d k -> float_of_int d *. ldexp 1.0 (-k))
+        (Gen.int_range 1 (1 lsl 40)) (Gen.int_range 0 60);
+    ]
+
+let float_writer_prop f =
+  let want = Oracle.float_to_string f and got = P.float_to_string f in
+  want = got
+  || Test.fail_reportf "%h: writer %S, printf %S" f got want
+
+(* Printed served lines and mutations of them: cut short, a byte
+   replaced, a space doubled or turned into a tab, a byte inserted. *)
+let served_line_gen =
+  let mutant_char =
+    Gen.oneofl [ ' '; '\t'; '-'; '>'; ':'; ','; '.'; '0'; '7'; 'x'; '_'; 'e'; '+'; 's' ]
+  in
+  let mutate line =
+    let n = String.length line in
+    Gen.(
+      oneof
+        [
+          map (fun i -> String.sub line 0 i) (int_range 0 n);
+          map2
+            (fun i c -> String.mapi (fun j d -> if i = j then c else d) line)
+            (int_range 0 (n - 1)) mutant_char;
+          map2
+            (fun i c ->
+              String.sub line 0 i ^ String.make 1 c
+              ^ String.sub line i (n - i))
+            (int_range 0 n) mutant_char;
+          map
+            (fun i ->
+              String.concat ""
+                (List.mapi
+                   (fun j w -> if j = 0 then w else (if j = i then "  " else " ") ^ w)
+                   (String.split_on_char ' ' line)))
+            (int_range 1 12);
+          map
+            (fun i ->
+              String.concat ""
+                (List.mapi
+                   (fun j w -> if j = 0 then w else (if j = i then "\t" else " ") ^ w)
+                   (String.split_on_char ' ' line)))
+            (int_range 1 12);
+        ])
+  in
+  let rec mutations k line =
+    if k = 0 || line = "" then Gen.return line
+    else Gen.(mutate line >>= mutations (k - 1))
+  in
+  Gen.(
+    triple node_gen (list_size (int_range 0 6) node_gen) float_gen
+    >>= fun (src, path, charge) ->
+    int_range 0 3 >>= fun k ->
+    mutations k (P.print_response (P.Served { src; path; charge })))
+
+let served_parse_prop line =
+  let same what a b =
+    match (a, b) with
+    | Ok x, Ok y when response_equal x y -> true
+    | Error _, Error _ -> true
+    | _ -> Test.fail_reportf "%s disagrees with the reference on %S" what line
+  in
+  same "parse_served" (P.parse_served line) (Oracle.parse_served line)
+  &&
+  let t = String.trim line in
+  match Oracle.tokens t with
+  | "src" :: _ -> same "parse_response" (P.parse_response line) (Oracle.parse_served t)
+  | _ -> true
+
 (* ---------------- units: blanks, errors, handle ---------------- *)
 
 let test_blank_and_comment () =
@@ -654,6 +751,11 @@ let suite =
       test_golden_pay;
     Test_util.qcheck_case ~count:500 "float_to_string round-trips bitwise"
       float_gen float_roundtrip_prop;
+    Test_util.qcheck_case ~count:5000 "float writer = printf %.12g/%.17g, byte for byte"
+      writer_float_gen float_writer_prop;
+    Test_util.qcheck_case ~count:2000
+      "served lines and mutants: in-place scan = tokenizing parser"
+      served_line_gen served_parse_prop;
     Test_util.qcheck_case ~count:500 "parse_request (print_request r) = r"
       request_gen request_roundtrip_prop;
     Test_util.qcheck_case ~count:500 "parse_response (print_response r) = r"

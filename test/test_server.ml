@@ -466,6 +466,35 @@ let test_corrupt_frame_closes () =
   Sv.shutdown server;
   Thread.join th
 
+(* a text line without a newline in max_frame bytes is refused with
+   err+bye and a close, instead of being buffered without bound *)
+let test_long_line_closes () =
+  let path = socket_path "longline" in
+  let server =
+    Sv.create (Sv.Unix_path path) [| W.make ~root:0 (`Link (chain_digraph ())) |]
+  in
+  let th = Thread.create Sv.serve server in
+  let fd, ic, _ = connect path in
+  (* a server that keeps buffering fails the test instead of hanging it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  ignore (input_line ic);
+  let chunk = Bytes.make 65536 'x' in
+  let sent = ref 0 in
+  (try
+     while !sent < 2 * 1024 * 1024 do
+       sent := !sent + Unix.write fd chunk 0 (Bytes.length chunk)
+     done
+   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+  Alcotest.(check string) "refused with a reason" "err line too long"
+    (input_line ic);
+  Alcotest.(check string) "then dismissed" "bye" (input_line ic);
+  (match input_line ic with
+  | exception (End_of_file | Sys_error _) -> ()
+  | l -> Alcotest.failf "after bye: expected a close, got %S" l);
+  Unix.close fd;
+  Sv.shutdown server;
+  Thread.join th
+
 (* ---------------- real client exe: --batch flush on EOF -------------- *)
 
 let client_exe () =
@@ -1083,6 +1112,8 @@ let suite =
       test_mixed_proto;
     Alcotest.test_case "corrupt binary frame answered err+bye" `Quick
       test_corrupt_frame_closes;
+    Alcotest.test_case "2 MB text line without newline answered err+bye"
+      `Quick test_long_line_closes;
     Alcotest.test_case "client --batch flushes trailing pack on EOF" `Quick
       test_client_batch_eof;
     Alcotest.test_case "idle clients are disconnected" `Quick
