@@ -1,5 +1,6 @@
 .PHONY: all test bench microbench microbench-smoke smoke smoke-shard \
-	dsim-smoke no-node-copies check check-quick experiments full clean \
+	dsim-smoke no-node-copies no-boxed-rows check check-quick experiments \
+	full clean \
 	clean-bench
 
 all:
@@ -80,17 +81,25 @@ no-node-copies:
 	  exit 1; \
 	fi
 
+# Digraph keeps one adjacency, its CSR, edited in place; fail if boxed
+# rows or a CSR mirror with its own rebuild come back.
+no-boxed-rows:
+	@if grep -nE 'out_adj|csr_version|rebuild_csr|\(int \* float\) array array' lib/graph/digraph.ml; then \
+	  echo "boxed digraph rows are back: keep the CSR the only store" >&2; \
+	  exit 1; \
+	fi
+
 # The whole bar: build, tier-1 tests, socket smoke, then the gated
 # benchmark run.
 check: all test smoke smoke-shard bench
 
-# The fast bar for CI and pre-push: the node-copy guard, build, tier-1
+# The fast bar for CI and pre-push: the node-copy and boxed-row guards, build, tier-1
 # tests, the socket smoke, the micro-suite smoke (allocation assertions,
 # no timing), and the dsim oracle smoke — everything deterministic,
 # nothing wall-clock-gated.  The timing-sensitive `bench` gate stays out: it
 # needs a quiet machine and a previous BENCH_latest.json to compare
 # against.
-check-quick: no-node-copies all test smoke smoke-shard microbench-smoke dsim-smoke
+check-quick: no-node-copies no-boxed-rows all test smoke smoke-shard microbench-smoke dsim-smoke
 
 experiments:
 	dune exec bench/main.exe -- experiments

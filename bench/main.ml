@@ -202,24 +202,9 @@ type batch_sample = {
   runs : int;
 }
 
-let time_once f =
-  let t0 = Unix.gettimeofday () in
-  ignore (Sys.opaque_identity (f ()));
-  Unix.gettimeofday () -. t0
-
-(* Best-of-k timing: warm up once, then repeat until the budget is spent
-   (at least [min_reps] times) and keep the minimum — the usual estimator
-   for wall-clock benchmarks on a noisy machine. *)
+(* The suites' budget on the micro suite's monotonic timer. *)
 let time_best ?(budget = 0.6) ?(min_reps = 3) ?(max_reps = 40) f =
-  ignore (Sys.opaque_identity (f ()));
-  let best = ref infinity and total = ref 0.0 and reps = ref 0 in
-  while !reps < min_reps || (!total < budget && !reps < max_reps) do
-    let t = time_once f in
-    if t < !best then best := t;
-    total := !total +. t;
-    incr reps
-  done;
-  (!best, !reps)
+  Wnet_microbench.time_best ~budget ~min_reps ~max_reps f
 
 let gate_tolerance = 1.20
 
@@ -270,7 +255,7 @@ let retime ~previous key (t, runs) f =
     | _ -> (t, runs))
 
 let run_batch ?previous () =
-  let pool_domains = max 4 (Wnet_par.default_domains ()) in
+  let pool_domains = Wnet_par.default_domains () in
   Wnet_par.with_pool ~domains:pool_domains (fun pool ->
       let samples = ref [] in
       let record bench bn domains f =
@@ -564,7 +549,7 @@ let empty_avoid =
 let run_avoid ?previous () =
   let module S = Wnet_session.Link_session in
   Gc.compact ();
-  let pool_domains = max 4 (Wnet_par.default_domains ()) in
+  let pool_domains = Wnet_par.default_domains () in
   Wnet_par.with_pool ~domains:pool_domains (fun pool ->
       let samples = ref [] in
       let tasks = ref 0 and stolen = ref 0 in
@@ -794,7 +779,7 @@ type second_path_result = {
 }
 
 let run_second_path ?previous () =
-  let pool_domains = max 2 (Wnet_par.default_domains ()) in
+  let pool_domains = Wnet_par.default_domains () in
   Wnet_par.with_pool ~domains:pool_domains (fun pool ->
       Gc.compact ();
       let samples = ref [] in
@@ -1030,7 +1015,7 @@ let dsim_instance seed ~n =
     ~cost_lo:1.0 ~cost_hi:10.0
 
 let run_dsim ?previous () =
-  let pool_domains = max 2 (Wnet_par.default_domains ()) in
+  let pool_domains = Wnet_par.default_domains () in
   Wnet_par.with_pool ~domains:pool_domains (fun pool ->
       Gc.compact ();
       let samples = ref [] and convergence = ref [] in

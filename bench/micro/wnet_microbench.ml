@@ -590,13 +590,18 @@ let assemble () =
 
 (* ---------------- measurement & driver ---------------- *)
 
+(* Seconds one call of [f] takes, on the monotonic clock. *)
 let time_once f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
+  let t0 = Monotonic_clock.now () in
+  ignore (Sys.opaque_identity (f ()));
+  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
 
+(* Best-of-k timing: warm up once, then repeat until the budget is spent
+   (at least [min_reps] times) and keep the minimum — the usual estimator
+   for wall-clock benchmarks on a noisy machine.  Returns the minimum and
+   the rep count. *)
 let time_best ?(budget = 0.25) ?(min_reps = 3) ?(max_reps = 200) f =
-  f ();
+  ignore (Sys.opaque_identity (f ()));
   let best = ref infinity and total = ref 0.0 and reps = ref 0 in
   while !reps < min_reps || (!total < budget && !reps < max_reps) do
     let t = time_once f in

@@ -35,10 +35,11 @@ let run g ~src ~dst =
   | None -> None
   | Some path ->
     let lcp_cost = Dijkstra.dist tree dst in
+    (* Forbidding relay [k] settles every other node exactly as
+       silencing it would: [k] is never [dst], and a silenced [k] is a
+       dead end. *)
     let avoid_dist k =
-      let silenced = Digraph.silence_node g k in
-      let t = Dijkstra.link_weighted silenced src in
-      Dijkstra.dist t dst
+      Dijkstra.dist (Dijkstra.link_weighted ~forbidden:(fun v -> v = k) g src) dst
     in
     Some (build_result g ~src ~dst ~path ~lcp_cost ~avoid_dist)
 

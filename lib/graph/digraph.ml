@@ -1,22 +1,46 @@
-(* Flat CSR mirror of [out_adj]: row [u] occupies slots
-   [row_off.(u) .. row_off.(u+1) - 1] of [col]/[wgt], sorted by target
-   like the boxed rows.  [wgt] is a plain [float array], so the kernels
-   read unboxed floats with no per-link tuple to chase. *)
+(* One CSR, edited in place.  Row [u] is slots
+   [row_off.(u) .. row_end.(u) - 1] of [col]/[wgt], sorted by target;
+   [wgt] is a plain [float array], so the kernels read unboxed floats
+   with no per-link tuple to chase.
+
+   Row [u] owns the slots up to [row_cap.(u)]: a delete closes its gap
+   and keeps the freed slot, an insert shifts into a spare one.  A full
+   row moves to [tail] with twice its length, leaving its old slots
+   dead.  When the tail runs out, every row is packed tight into fresh
+   arrays of twice the links, which both grows the store and drops the
+   dead slots. *)
 type csr = {
-  row_off : int array;  (* n + 1 entries *)
-  col : int array;  (* m entries: link targets *)
-  wgt : float array;  (* m entries: link weights, mutated in place *)
+  row_off : int array;
+  row_end : int array;
+  col : int array;
+  wgt : float array;
 }
 
 type t = {
-  mutable out_adj : (int * float) array array; (* sorted by target *)
+  mutable csr : csr;  (* replaced only when an array is reallocated *)
+  mutable row_cap : int array;
+  mutable tail : int;  (* first slot no row owns *)
   mutable m : int;
   mutable version : int;
-  mutable csr_cache : csr;  (* valid iff [csr_version = version] *)
-  mutable csr_version : int;  (* -1: never built / structurally stale *)
 }
 
-let no_csr = { row_off = [||]; col = [||]; wgt = [||] }
+(* Rows packed tight: row [u] is [start.(u) .. start.(u + 1) - 1]. *)
+let of_rows start col wgt =
+  let n = Array.length start - 1 in
+  let row_end = Array.sub start 1 n in
+  {
+    csr = { row_off = Array.sub start 0 n; row_end; col; wgt };
+    row_cap = Array.copy row_end;
+    tail = start.(n);
+    m = start.(n);
+    version = 0;
+  }
+
+let n g = Array.length g.csr.row_off
+
+let m g = g.m
+
+let out_degree g u = g.csr.row_end.(u) - g.csr.row_off.(u)
 
 let create ~n ~links =
   if n < 0 then invalid_arg "Digraph.create: negative node count";
@@ -33,140 +57,145 @@ let create ~n ~links =
         | Some w' when w' <= w -> ()
         | _ -> Hashtbl.replace best (u, v) w)
     links;
-  let deg = Array.make n 0 in
-  Hashtbl.iter (fun (u, _) _ -> deg.(u) <- deg.(u) + 1) best;
-  let out_adj = Array.init n (fun u -> Array.make deg.(u) (0, 0.0)) in
-  let fill = Array.make n 0 in
-  Hashtbl.iter
-    (fun (u, v) w ->
-      out_adj.(u).(fill.(u)) <- (v, w);
-      fill.(u) <- fill.(u) + 1)
-    best;
-  Array.iter (fun l -> Array.sort compare l) out_adj;
-  {
-    out_adj;
-    m = Hashtbl.length best;
-    version = 0;
-    csr_cache = no_csr;
-    csr_version = -1;
-  }
+  let rows = Array.make n [] in
+  Hashtbl.iter (fun (u, v) w -> rows.(u) <- (v, w) :: rows.(u)) best;
+  let m = Hashtbl.length best in
+  let start = Array.make (n + 1) 0 in
+  let col = Array.make m 0 and wgt = Array.make m 0.0 in
+  for u = 0 to n - 1 do
+    let j = ref start.(u) in
+    List.iter
+      (fun (v, w) ->
+        col.(!j) <- v;
+        wgt.(!j) <- w;
+        incr j)
+      (List.sort (fun (a, _) (b, _) -> Int.compare a b) rows.(u));
+    start.(u + 1) <- !j
+  done;
+  of_rows start col wgt
 
-let n g = Array.length g.out_adj
-
-let m g = g.m
-
-let out_links g u = g.out_adj.(u)
-
-let out_degree g u = Array.length g.out_adj.(u)
-
-(* Top level rather than local to [weight], so a lookup builds no
-   closure: the payment assembly reads one weight per relay. *)
-let rec find_weight (a : (int * float) array) v lo hi =
-  if lo >= hi then infinity
+(* Insertion point of [v] in the sorted slice [lo .. hi - 1] of [col].
+   Top level rather than local, so a lookup builds no closure: the
+   payment assembly reads one weight per relay. *)
+let rec search (col : int array) v lo hi =
+  if lo >= hi then lo
   else
     let mid = (lo + hi) / 2 in
-    let t, w = a.(mid) in
-    if t = v then w
-    else if t < v then find_weight a v (mid + 1) hi
-    else find_weight a v lo mid
+    if col.(mid) < v then search col v (mid + 1) hi else search col v lo mid
 
 let weight g u v =
-  let a = g.out_adj.(u) in
-  find_weight a v 0 (Array.length a)
+  let c = g.csr in
+  let i = search c.col v c.row_off.(u) c.row_end.(u) in
+  if i < c.row_end.(u) && c.col.(i) = v then c.wgt.(i) else infinity
+
+let out_links g u =
+  let c = g.csr in
+  let lo = c.row_off.(u) in
+  Array.init (out_degree g u) (fun i -> (c.col.(lo + i), c.wgt.(lo + i)))
 
 let links g =
+  let c = g.csr in
   let acc = ref [] in
-  Array.iteri
-    (fun u l -> Array.iter (fun (v, w) -> acc := (u, v, w) :: !acc) l)
-    g.out_adj;
-  List.sort compare !acc
+  for u = n g - 1 downto 0 do
+    for i = c.row_end.(u) - 1 downto c.row_off.(u) do
+      acc := (u, c.col.(i), c.wgt.(i)) :: !acc
+    done
+  done;
+  !acc
 
 (* One counting pass: size each reversed row by in-degree, then scan the
    tails in increasing order, so every row fills already sorted. *)
 let reverse g =
+  let { row_off; row_end; col; wgt } = g.csr in
   let n = n g in
-  let deg = Array.make n 0 in
-  Array.iter (Array.iter (fun (v, _) -> deg.(v) <- deg.(v) + 1)) g.out_adj;
-  let out_adj = Array.init n (fun v -> Array.make deg.(v) (0, 0.0)) in
-  let fill = Array.make n 0 in
-  Array.iteri
-    (fun u row ->
-      Array.iter
-        (fun (v, w) ->
-          out_adj.(v).(fill.(v)) <- (u, w);
-          fill.(v) <- fill.(v) + 1)
-        row)
-    g.out_adj;
-  { out_adj; m = g.m; version = 0; csr_cache = no_csr; csr_version = -1 }
+  let start = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    for i = row_off.(u) to row_end.(u) - 1 do
+      start.(col.(i) + 1) <- start.(col.(i) + 1) + 1
+    done
+  done;
+  for v = 1 to n do
+    start.(v) <- start.(v) + start.(v - 1)
+  done;
+  let fill = Array.sub start 0 n in
+  let rcol = Array.make g.m 0 and rwgt = Array.make g.m 0.0 in
+  for u = 0 to n - 1 do
+    for i = row_off.(u) to row_end.(u) - 1 do
+      let v = col.(i) in
+      rcol.(fill.(v)) <- u;
+      rwgt.(fill.(v)) <- wgt.(i);
+      fill.(v) <- fill.(v) + 1
+    done
+  done;
+  of_rows start rcol rwgt
 
 let of_node_costs gr ~root =
   let n = Graph.n gr in
   if root < 0 || root >= n then
     invalid_arg "Digraph.of_node_costs: root out of range";
-  (* every arc into [b] is the same immutable pair: share one per node *)
-  let into =
-    Array.init n (fun b -> (b, if b = root then 0.0 else Graph.cost gr b))
+  let { Graph.row_off; col } = Graph.csr gr in
+  let m = row_off.(n) in
+  let wgt =
+    Array.init m (fun i ->
+        let b = col.(i) in
+        if b = root then 0.0 else Graph.cost gr b)
   in
-  let out_adj =
-    Array.init n (fun a -> Array.map (Array.get into) (Graph.neighbors gr a))
-  in
-  {
-    out_adj;
-    m = 2 * Graph.m gr;
-    version = 0;
-    csr_cache = no_csr;
-    csr_version = -1;
-  }
+  of_rows row_off (Array.sub col 0 m) wgt
 
 let owner_of_link u _v = u
 
+(* Slots [src ..] of [col]/[wgt] to [dst ..] of [col']/[wgt'], [len]
+   of them, overlap-safe.  Plain stores: [Array.blit] into a major-heap
+   [int array] goes through the write barrier slot by slot. *)
+let blit_slots (col : int array) (wgt : float array) src (col' : int array)
+    (wgt' : float array) dst len =
+  if dst <= src then
+    for k = 0 to len - 1 do
+      col'.(dst + k) <- col.(src + k);
+      wgt'.(dst + k) <- wgt.(src + k)
+    done
+  else
+    for k = len - 1 downto 0 do
+      col'.(dst + k) <- col.(src + k);
+      wgt'.(dst + k) <- wgt.(src + k)
+    done
+
+(* Rows packed tight into fresh arrays of [size >= m] slots, leaving out
+   row [drop_row] and the links into [drop_target] ([-1]: none). *)
+let pack g ~size ~drop_row ~drop_target =
+  let c = g.csr in
+  let n = n g in
+  let start = Array.make (n + 1) 0 in
+  let col = Array.make size 0 and wgt = Array.make size 0.0 in
+  let j = ref 0 in
+  for u = 0 to n - 1 do
+    if u <> drop_row then begin
+      let lo = c.row_off.(u) and hi = c.row_end.(u) in
+      let i = search c.col drop_target lo hi in
+      blit_slots c.col c.wgt lo col wgt !j (i - lo);
+      j := !j + (i - lo);
+      let i = if i < hi && c.col.(i) = drop_target then i + 1 else i in
+      blit_slots c.col c.wgt i col wgt !j (hi - i);
+      j := !j + (hi - i)
+    end;
+    start.(u + 1) <- !j
+  done;
+  of_rows start col wgt
+
+let check_node what g v =
+  if v < 0 || v >= n g then invalid_arg ("Digraph." ^ what ^ ": out of range")
+
 let silence_node g v =
-  if v < 0 || v >= n g then invalid_arg "Digraph.silence_node: out of range";
-  let out_adj = Array.copy g.out_adj in
-  let removed = Array.length out_adj.(v) in
-  out_adj.(v) <- [||];
-  {
-    out_adj;
-    m = g.m - removed;
-    version = 0;
-    csr_cache = no_csr;
-    csr_version = -1;
-  }
+  check_node "silence_node" g v;
+  pack g ~size:g.m ~drop_row:v ~drop_target:(-1)
 
 let remove_node g v =
-  if v < 0 || v >= n g then invalid_arg "Digraph.remove_node: out of range";
-  let m = ref g.m in
-  let out_adj =
-    Array.mapi
-      (fun u l ->
-        if u = v then begin
-          m := !m - Array.length l;
-          [||]
-        end
-        else begin
-          let kept = Array.of_list (List.filter (fun (t, _) -> t <> v) (Array.to_list l)) in
-          m := !m - (Array.length l - Array.length kept);
-          kept
-        end)
-      g.out_adj
-  in
-  { out_adj; m = !m; version = 0; csr_cache = no_csr; csr_version = -1 }
+  check_node "remove_node" g v;
+  pack g ~size:g.m ~drop_row:v ~drop_target:v
 
 let remove_links_to g v =
-  if v < 0 || v >= n g then invalid_arg "Digraph.remove_links_to: out of range";
-  let m = ref g.m in
-  let out_adj =
-    Array.map
-      (fun l ->
-        if Array.exists (fun (t, _) -> t = v) l then begin
-          let kept = Array.of_list (List.filter (fun (t, _) -> t <> v) (Array.to_list l)) in
-          m := !m - (Array.length l - Array.length kept);
-          kept
-        end
-        else l)
-      g.out_adj
-  in
-  { out_adj; m = !m; version = 0; csr_cache = no_csr; csr_version = -1 }
+  check_node "remove_links_to" g v;
+  pack g ~size:g.m ~drop_row:(-1) ~drop_target:v
 
 (* ------------------------------------------------------------------ *)
 (* In-place mutation.
@@ -180,71 +209,35 @@ let remove_links_to g v =
 
 let version g = g.version
 
-let copy g =
-  (* The CSR cache never travels: [set_weight] writes its [wgt] in
-     place, so sharing it would couple the copies. *)
-  {
-    out_adj = Array.map Array.copy g.out_adj;
-    m = g.m;
-    version = 0;
-    csr_cache = no_csr;
-    csr_version = -1;
-  }
+let csr g = g.csr
 
-(* ------------------------------------------------------------------ *)
-(* CSR view.
+let copy g = pack g ~size:g.m ~drop_row:(-1) ~drop_target:(-1)
 
-   Built lazily from [out_adj] and memoized against the version stamp.
-   [set_weight] on an existing link updates the cached [wgt] slot in
-   place and moves the stamp forward with the graph, so steady cost
-   drift — the session workload — never rebuilds; structural edits
-   (insert/delete/add_node/detach_node) drop the cache and the next
-   [csr] call pays one O(n + m) rebuild. *)
+(* Row [u] is full: move it to the tail with twice its length, first
+   repacking every row when the tail runs out. *)
+let move_row g u =
+  let len = out_degree g u in
+  let cap = max 4 (2 * len) in
+  if g.tail + cap > Array.length g.csr.col then begin
+    let p = pack g ~size:(2 * (g.m + cap)) ~drop_row:(-1) ~drop_target:(-1) in
+    g.csr <- p.csr;
+    g.row_cap <- p.row_cap;
+    g.tail <- p.tail
+  end;
+  let c = g.csr in
+  blit_slots c.col c.wgt c.row_off.(u) c.col c.wgt g.tail len;
+  c.row_off.(u) <- g.tail;
+  c.row_end.(u) <- g.tail + len;
+  g.row_cap.(u) <- g.tail + cap;
+  g.tail <- g.tail + cap
 
-let rebuild_csr g =
-  let n = Array.length g.out_adj in
-  let row_off = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    row_off.(u + 1) <- row_off.(u) + Array.length g.out_adj.(u)
-  done;
-  let m = row_off.(n) in
-  let col = Array.make (max m 1) 0 in
-  let wgt = Array.make (max m 1) 0.0 in
-  for u = 0 to n - 1 do
-    let row = g.out_adj.(u) in
-    let base = row_off.(u) in
-    for i = 0 to Array.length row - 1 do
-      let v, w = row.(i) in
-      col.(base + i) <- v;
-      wgt.(base + i) <- w
-    done
-  done;
-  let c = { row_off; col; wgt } in
-  g.csr_cache <- c;
-  g.csr_version <- g.version;
-  c
-
-let csr g = if g.csr_version = g.version then g.csr_cache else rebuild_csr g
-
-let invalidate_csr g = g.csr_version <- -1
-
-(* Slot of link [u -> v] in the (valid) CSR, or -1: binary search of
-   [col] within row [u] — the link→slot index [set_weight] writes
-   through. *)
-let csr_slot c u v =
-  let lo = ref c.row_off.(u) and hi = ref c.row_off.(u + 1) in
-  let found = ref (-1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let t = c.col.(mid) in
-    if t = v then begin
-      found := mid;
-      lo := !hi
-    end
-    else if t < v then lo := mid + 1
-    else hi := mid
-  done;
-  !found
+(* Drop slot [i] of row [u]; the freed slot stays the row's spare. *)
+let delete_slot g u i =
+  let c = g.csr in
+  let hi = c.row_end.(u) in
+  blit_slots c.col c.wgt (i + 1) c.col c.wgt i (hi - i - 1);
+  c.row_end.(u) <- hi - 1;
+  g.m <- g.m - 1
 
 let set_weight g u v w =
   let nn = n g in
@@ -253,77 +246,54 @@ let set_weight g u v w =
   if u = v then invalid_arg "Digraph.set_weight: self-loop";
   if Float.is_nan w || w < 0.0 then
     invalid_arg "Digraph.set_weight: weight must be non-negative";
-  let a = g.out_adj.(u) in
-  let len = Array.length a in
-  let rec bsearch lo hi = (* position of v, or insertion point *)
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if fst a.(mid) < v then bsearch (mid + 1) hi else bsearch lo mid
-  in
-  let i = bsearch 0 len in
-  let present = i < len && fst a.(i) = v in
-  (if present then begin
-     if w = infinity then begin
-       (* delete *)
-       let b = Array.make (len - 1) (0, 0.0) in
-       Array.blit a 0 b 0 i;
-       Array.blit a (i + 1) b i (len - 1 - i);
-       g.out_adj.(u) <- b;
-       g.m <- g.m - 1;
-       invalidate_csr g
-     end
-     else begin
-       a.(i) <- (v, w);
-       (* keep a valid CSR in lockstep: in-place weight write *)
-       if g.csr_version = g.version then begin
-         let s = csr_slot g.csr_cache u v in
-         g.csr_cache.wgt.(s) <- w;
-         g.csr_version <- g.version + 1
-       end
-     end
+  let c = g.csr in
+  let lo = c.row_off.(u) and hi = c.row_end.(u) in
+  let i = search c.col v lo hi in
+  (if i < hi && c.col.(i) = v then begin
+     if w < infinity then c.wgt.(i) <- w else delete_slot g u i
    end
    else if w < infinity then begin
-     (* insert *)
-     let b = Array.make (len + 1) (v, w) in
-     Array.blit a 0 b 0 i;
-     Array.blit a i b (i + 1) (len - i);
-     g.out_adj.(u) <- b;
-     g.m <- g.m + 1;
-     invalidate_csr g
+     if hi = g.row_cap.(u) then move_row g u;
+     let c = g.csr in
+     let i = c.row_off.(u) + (i - lo) and hi = c.row_end.(u) in
+     blit_slots c.col c.wgt i c.col c.wgt (i + 1) (hi - i);
+     c.col.(i) <- v;
+     c.wgt.(i) <- w;
+     c.row_end.(u) <- hi + 1;
+     g.m <- g.m + 1
    end);
   g.version <- g.version + 1
 
+(* A new node's row is empty with no capacity: its first link moves it
+   to the tail. *)
 let add_node g =
   let id = n g in
-  let out_adj = Array.make (id + 1) [||] in
-  Array.blit g.out_adj 0 out_adj 0 id;
-  g.out_adj <- out_adj;
-  invalidate_csr g;
+  let c = g.csr in
+  let push a = Array.append a [| g.tail |] in
+  g.csr <- { c with row_off = push c.row_off; row_end = push c.row_end };
+  g.row_cap <- push g.row_cap;
   g.version <- g.version + 1;
   id
 
+(* Rows empty in place and keep their capacity, so a rejoin with the
+   same links moves no row. *)
 let detach_node g v =
-  if v < 0 || v >= n g then invalid_arg "Digraph.detach_node: out of range";
-  g.m <- g.m - Array.length g.out_adj.(v);
-  g.out_adj.(v) <- [||];
-  Array.iteri
-    (fun u l ->
-      if u <> v && Array.exists (fun (t, _) -> t = v) l then begin
-        let kept =
-          Array.of_list (List.filter (fun (t, _) -> t <> v) (Array.to_list l))
-        in
-        g.m <- g.m - (Array.length l - Array.length kept);
-        g.out_adj.(u) <- kept
-      end)
-    g.out_adj;
-  invalidate_csr g;
+  check_node "detach_node" g v;
+  let c = g.csr in
+  g.m <- g.m - out_degree g v;
+  c.row_end.(v) <- c.row_off.(v);
+  for u = 0 to n g - 1 do
+    let i = search c.col v c.row_off.(u) c.row_end.(u) in
+    if i < c.row_end.(u) && c.col.(i) = v then delete_slot g u i
+  done;
   g.version <- g.version + 1
 
 let pp ppf g =
+  let c = g.csr in
   Format.fprintf ppf "@[<v>digraph n=%d m=%d@," (n g) g.m;
-  Array.iteri
-    (fun u l ->
-      Array.iter (fun (v, w) -> Format.fprintf ppf "  %d -> %d (%g)@," u v w) l)
-    g.out_adj;
+  for u = 0 to n g - 1 do
+    for i = c.row_off.(u) to c.row_end.(u) - 1 do
+      Format.fprintf ppf "  %d -> %d (%g)@," u c.col.(i) c.wgt.(i)
+    done
+  done;
   Format.fprintf ppf "@]"

@@ -22,8 +22,9 @@ val m : t -> int
 (** Number of directed links. *)
 
 val out_links : t -> int -> (int * float) array
-(** [out_links g u] is the (shared, do not mutate) array of
-    [(target, weight)] links leaving [u], sorted by target. *)
+(** [out_links g u] is a fresh copy of the [(target, weight)] links
+    leaving [u], sorted by target.  It allocates a tuple per link: for
+    tests and oracles.  Library code reads the row's slice of {!csr}. *)
 
 val out_degree : t -> int -> int
 
@@ -86,34 +87,38 @@ val version : t -> int
 
 (** {1 CSR view}
 
-    The flat adjacency the hot kernels iterate: row [u] is
-    [col.(row_off.(u)) .. col.(row_off.(u+1) - 1)] with matching
-    unboxed weights in [wgt], sorted by target exactly like
-    {!out_links}.  The view is cached against {!version}: pure weight
-    updates ({!set_weight} on an existing link) write the cached [wgt]
-    slot in place and keep the view valid, structural edits invalidate
-    it and the next {!csr} call rebuilds in O(n + m). *)
+    The graph's only adjacency, which the hot kernels iterate: row [u]
+    is [col.(row_off.(u)) .. col.(row_end.(u) - 1)] with matching
+    unboxed weights in [wgt], sorted by target.  Rows are not laid out
+    in id order, and a row may own spare slots past [row_end.(u)], so
+    an insert or delete shifts within the row.  Only a row with no
+    spare slot moves, to the end of the arrays. *)
 
 type csr = {
-  row_off : int array;  (** [n + 1] row offsets *)
-  col : int array;  (** link targets, rows sorted by target *)
+  row_off : int array;  (** [n] row starts *)
+  row_end : int array;  (** [n] row ends (exclusive) *)
+  col : int array;  (** link targets, each row sorted by target *)
   wgt : float array;  (** link weights (flat float array) *)
 }
 
 val csr : t -> csr
-(** [csr g] is the CSR view of [g] at its current version — do {e not}
-    mutate it.  The returned arrays are valid until the next structural
-    edit; weight edits mutate [wgt] in place, so a held view observes
-    them (same semantics as the shared {!out_links} rows). *)
+(** [csr g] is the graph's own adjacency — it allocates nothing; do
+    {e not} mutate it.  Every edit writes it in place, so a held view
+    observes weight changes, inserts and deletes; a row move that
+    outgrows the arrays replaces them, so read [csr g] again after an
+    edit. *)
 
 val copy : t -> t
-(** [copy g] is a deep copy (at version 0): mutating either graph never
-    affects the other.  How a session takes ownership of its topology. *)
+(** [copy g] is a deep copy (at version 0) with its rows packed tight:
+    mutating either graph never affects the other.  How a session takes
+    ownership of its topology. *)
 
 val set_weight : t -> int -> int -> float -> unit
 (** [set_weight g u v w] sets the weight of link [u -> v] in place:
     updates it when present, inserts it when absent, and {e removes} it
-    when [w = infinity] (the paper's "declare the link unusable").
+    when [w = infinity] (the paper's "declare the link unusable").  One
+    binary search of row [u]; an insert into a full row moves the row
+    (amortised O(1) slots per insert).
     @raise Invalid_argument on out-of-range endpoints, a self-loop, or
     a negative/NaN weight. *)
 
@@ -125,6 +130,7 @@ val detach_node : t -> int -> unit
 (** [detach_node g v] removes every link incident to [v], in either
     direction, in place.  The identifier [v] remains valid (and
     isolated), keeping node ids stable — the convention all payment
-    code relies on. *)
+    code relies on.  Every row keeps its slots, so re-inserting the same
+    links later moves no row and leaves {!csr}'s arrays in place. *)
 
 val pp : Format.formatter -> t -> unit

@@ -42,7 +42,7 @@ let link_weighted ?(forbidden = never) g source =
   let n = Digraph.n g in
   if source < 0 || source >= n then invalid_arg "Dijkstra: source out of range";
   if forbidden source then invalid_arg "Dijkstra: source is forbidden";
-  let { Digraph.row_off; col; wgt } = Digraph.csr g in
+  let { Digraph.row_off; row_end; col; wgt } = Digraph.csr g in
   let dist = Array.make n infinity in
   let parent = Array.make n (-1) in
   let heap = Indexed_heap.create n in
@@ -51,7 +51,7 @@ let link_weighted ?(forbidden = never) g source =
   while not (Indexed_heap.is_empty heap) do
     let u = Indexed_heap.pop_min_key heap in
     let du = dist.(u) in
-    for i = row_off.(u) to row_off.(u + 1) - 1 do
+    for i = row_off.(u) to row_end.(u) - 1 do
       let w = Array.unsafe_get col i in
       if not (forbidden w) then begin
         let cand = du +. Array.unsafe_get wgt i in
@@ -178,7 +178,7 @@ let link_weighted_scratch scratch g source =
   if Bytes.get scratch.sban source <> '\000' then
     invalid_arg "Dijkstra: source is forbidden";
   begin_run scratch n;
-  let { Digraph.row_off; col; wgt } = Digraph.csr g in
+  let { Digraph.row_off; row_end; col; wgt } = Digraph.csr g in
   let heap = scratch.sheap in
   let prio = Indexed_heap.prios heap in
   let dist = scratch.sdist in
@@ -192,7 +192,7 @@ let link_weighted_scratch scratch g source =
   while not (Indexed_heap.is_empty heap) do
     let u = Indexed_heap.pop_min_key heap in
     let du = Array.unsafe_get dist u in
-    for i = row_off.(u) to row_off.(u + 1) - 1 do
+    for i = row_off.(u) to row_end.(u) - 1 do
       let w = Array.unsafe_get col i in
       if Bytes.unsafe_get ban w = '\000' then begin
         let cand = du +. Array.unsafe_get wgt i in

@@ -112,17 +112,17 @@ let region_wipe s ~dist:d =
 (* Offer each region node its best candidate through its in-links from
    the unmarked boundary (current weights, read through the mirror);
    [forbidden] is invisible. *)
-let reseed_link s ~j ~m_off ~m_col ~m_wgt d =
+let reseed_link s ~j { Digraph.row_off; row_end; col; wgt } d =
   let heap = s.heap in
   let prio = Indexed_heap.prios heap in
   for k = 0 to s.n_region - 1 do
     let x = s.region.(k) in
-    for i = m_off.(x) to m_off.(x + 1) - 1 do
-      let p = Array.unsafe_get m_col i in
+    for i = row_off.(x) to row_end.(x) - 1 do
+      let p = Array.unsafe_get col i in
       if p <> j && s.mark.(p) <> s.epoch then begin
         let dp = d.(p) in
         if dp < infinity then begin
-          let cand = dp +. Array.unsafe_get m_wgt i in
+          let cand = dp +. Array.unsafe_get wgt i in
           if cand < d.(x) then begin
             d.(x) <- cand;
             prio.(x) <- cand;
@@ -137,17 +137,17 @@ let reseed_link s ~j ~m_off ~m_col ~m_wgt d =
    equals the node's current label, so the key-only pop reads it back
    from [d]).  Every settled node is marked against the budget: nodes
    reached beyond the pre-marked region grow it. *)
-let settle_link s ~budget ~j ~g_off ~g_col ~g_wgt d =
+let settle_link s ~budget ~j { Digraph.row_off; row_end; col; wgt } d =
   let heap = s.heap in
   let prio = Indexed_heap.prios heap in
   while not (Indexed_heap.is_empty heap) do
     let x = Indexed_heap.pop_min_key heap in
     let dx = d.(x) in
     smark s ~budget x;
-    for i = g_off.(x) to g_off.(x + 1) - 1 do
-      let y = Array.unsafe_get g_col i in
+    for i = row_off.(x) to row_end.(x) - 1 do
+      let y = Array.unsafe_get col i in
       if y <> j then begin
-        let cand = dx +. Array.unsafe_get g_wgt i in
+        let cand = dx +. Array.unsafe_get wgt i in
         if cand < d.(y) then begin
           d.(y) <- cand;
           prio.(y) <- cand;
@@ -158,12 +158,10 @@ let settle_link s ~budget ~j ~g_off ~g_col ~g_wgt d =
   done
 
 let region_reseed_link s ~forbidden ~mirror ~dist =
-  let { Digraph.row_off; col; wgt } = Digraph.csr mirror in
-  reseed_link s ~j:forbidden ~m_off:row_off ~m_col:col ~m_wgt:wgt dist
+  reseed_link s ~j:forbidden (Digraph.csr mirror) dist
 
 let region_settle_link s ~budget ~forbidden ~graph ~dist =
-  let { Digraph.row_off; col; wgt } = Digraph.csr graph in
-  match settle_link s ~budget ~j:forbidden ~g_off:row_off ~g_col:col ~g_wgt:wgt dist with
+  match settle_link s ~budget ~j:forbidden (Digraph.csr graph) dist with
   | () -> true
   | exception Overflow -> false
 
@@ -174,13 +172,10 @@ let repair_dist s ?budget ?(forbidden = -1) ~graph ~mirror ~source ~dist:d
   if Array.length d < n then
     invalid_arg "Dynamic_sssp.repair_dist: dist array shorter than the graph";
   begin_dist_run s n;
-  (* Flat views of both orientations; [Digraph.set_weight] keeps them
-     live, so a weight-only edit burst pays no rebuild here. *)
-  let { Digraph.row_off = g_off; col = g_col; wgt = g_wgt } =
-    Digraph.csr graph
-  in
-  let { Digraph.row_off = m_off; col = m_col; wgt = m_wgt } =
-    Digraph.csr mirror
+  (* Both orientations' own adjacency: nothing to build. *)
+  let gc = Digraph.csr graph and mc = Digraph.csr mirror in
+  let { Digraph.row_off = g_off; row_end = g_end; col = g_col; wgt = g_wgt } =
+    gc
   in
   let j = forbidden in
   let edits =
@@ -210,7 +205,7 @@ let repair_dist s ?budget ?(forbidden = -1) ~graph ~mirror ~source ~dist:d
       incr i;
       let dx = d.(x) in
       if dx < infinity then begin
-        for i = g_off.(x) to g_off.(x + 1) - 1 do
+        for i = g_off.(x) to g_end.(x) - 1 do
           let y = Array.unsafe_get g_col i in
           if
             y <> j && y <> source && (not (marked y))
@@ -231,7 +226,7 @@ let repair_dist s ?budget ?(forbidden = -1) ~graph ~mirror ~source ~dist:d
     (* 2. wipe the region, then reseed each member from the boundary
        through its in-links (current weights, via the mirror) *)
     region_wipe s ~dist:d;
-    reseed_link s ~j ~m_off ~m_col ~m_wgt d;
+    reseed_link s ~j mc d;
     (* 3. dropped links whose tail kept its label seed directly (a
        marked tail relaxes when it settles) *)
     let prio = Indexed_heap.prios s.heap in
@@ -247,7 +242,7 @@ let repair_dist s ?budget ?(forbidden = -1) ~graph ~mirror ~source ~dist:d
         end)
       edits;
     (* 4. bounded-frontier Dijkstra over the region *)
-    settle_link s ~budget ~j ~g_off ~g_col ~g_wgt d;
+    settle_link s ~budget ~j gc d;
     `Patched s.n_region
   with Overflow -> `Overflow
 
@@ -390,8 +385,8 @@ type outcome =
    checked when they settle; intact ones are checked here. *)
 let check_attainer_tie t mcsr d x y =
   let dy = d.(y) and dx = d.(x) in
-  let { Digraph.row_off; col; wgt } = mcsr in
-  for i = row_off.(y) to row_off.(y + 1) - 1 do
+  let { Digraph.row_off; row_end; col; wgt } = mcsr in
+  for i = row_off.(y) to row_end.(y) - 1 do
     let z = Array.unsafe_get col i in
     if
       z <> x
@@ -408,8 +403,12 @@ let apply ?budget t edits =
   let budget = match budget with Some b -> b | None -> default_budget n in
   let gcsr = Digraph.csr t.graph in
   let mcsr = Digraph.csr t.mirror in
-  let { Digraph.row_off = g_off; col = g_col; wgt = g_wgt } = gcsr in
-  let { Digraph.row_off = m_off; col = m_col; wgt = m_wgt } = mcsr in
+  let { Digraph.row_off = g_off; row_end = g_end; col = g_col; wgt = g_wgt } =
+    gcsr
+  in
+  let { Digraph.row_off = m_off; row_end = m_end; col = m_col; wgt = m_wgt } =
+    mcsr
+  in
   let d = t.tr.Dijkstra.dist and par = t.tr.Dijkstra.parent in
   t.epoch <- t.epoch + 1;
   t.n_region <- 0;
@@ -462,7 +461,7 @@ let apply ?budget t edits =
     for k = 0 to n_orphans - 1 do
       let x = t.region.(k) in
       let best = ref infinity and best_p = ref (-1) and tied = ref false in
-      for i = m_off.(x) to m_off.(x + 1) - 1 do
+      for i = m_off.(x) to m_end.(x) - 1 do
         let p = Array.unsafe_get m_col i in
         if not (marked p) then begin
           let dp = d.(p) in
@@ -504,7 +503,7 @@ let apply ?budget t edits =
       let x = Indexed_heap.pop_min_key t.heap in
       let dx = d.(x) in
       mark_node x;
-      for i = g_off.(x) to g_off.(x + 1) - 1 do
+      for i = g_off.(x) to g_end.(x) - 1 do
         let y = Array.unsafe_get g_col i in
         let cand = dx +. Array.unsafe_get g_wgt i in
         if cand < d.(y) then begin

@@ -1,37 +1,16 @@
-(* Flat CSR mirror of [inc]: incidences of [v] occupy slots
+(* Incidence as CSR: the incidences of [v] occupy slots
    [row_off.(v) .. row_off.(v+1) - 1] of [ncol] (neighbour) / [ecol]
-   (edge id), sorted by neighbour like the boxed rows.  Weights stay
-   per-edge-id in [w], so a kernel reads [w.(ecol.(i))] with no tuple
-   to chase.  Incidence is immutable after construction; weight swaps
-   ([with_weights]) share the view. *)
+   (edge id), sorted by neighbour.  Weights stay per-edge-id in [w], so
+   a kernel reads [w.(ecol.(i))] with no tuple to chase.  Incidence is
+   immutable after construction; weight swaps ([with_weights]) share
+   it. *)
 type csr = { row_off : int array; ncol : int array; ecol : int array }
 
 type t = {
   ends : (int * int) array;  (* per edge id, smaller endpoint first *)
   w : float array;  (* per edge id *)
-  inc : (int * int) array array;  (* per node: (neighbour, edge id), sorted *)
   csr : csr;
 }
-
-let csr_of_inc inc =
-  let n = Array.length inc in
-  let row_off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    row_off.(v + 1) <- row_off.(v) + Array.length inc.(v)
-  done;
-  let sz = max row_off.(n) 1 in
-  let ncol = Array.make sz 0 in
-  let ecol = Array.make sz 0 in
-  Array.iteri
-    (fun v row ->
-      let base = row_off.(v) in
-      Array.iteri
-        (fun i (nbr, e) ->
-          ncol.(base + i) <- nbr;
-          ecol.(base + i) <- e)
-        row)
-    inc;
-  { row_off; ncol; ecol }
 
 let create ~n ~edges =
   if n < 0 then invalid_arg "Egraph.create: negative node count";
@@ -59,25 +38,33 @@ let create ~n ~edges =
       ends.(e) <- (u, v);
       w.(e) <- weight)
     pairs;
-  let deg = Array.make n 0 in
+  let row_off = Array.make (n + 1) 0 in
   Array.iter
     (fun (u, v) ->
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
+      row_off.(u + 1) <- row_off.(u + 1) + 1;
+      row_off.(v + 1) <- row_off.(v + 1) + 1)
     ends;
-  let inc = Array.init n (fun v -> Array.make deg.(v) (0, 0)) in
-  let fill = Array.make n 0 in
+  for v = 1 to n do
+    row_off.(v) <- row_off.(v) + row_off.(v - 1)
+  done;
+  let ncol = Array.make (2 * m) 0 and ecol = Array.make (2 * m) 0 in
+  let fill = Array.sub row_off 0 n in
+  let put x y e =
+    ncol.(fill.(x)) <- y;
+    ecol.(fill.(x)) <- e;
+    fill.(x) <- fill.(x) + 1
+  in
+  (* Edge ids ascend in (smaller, larger) endpoint order, so each row
+     fills already sorted by neighbour: first the smaller neighbours,
+     by id, then the larger ones. *)
   Array.iteri
     (fun e (u, v) ->
-      inc.(u).(fill.(u)) <- (v, e);
-      fill.(u) <- fill.(u) + 1;
-      inc.(v).(fill.(v)) <- (u, e);
-      fill.(v) <- fill.(v) + 1)
+      put u v e;
+      put v u e)
     ends;
-  Array.iter (fun a -> Array.sort compare a) inc;
-  { ends; w; inc; csr = csr_of_inc inc }
+  { ends; w; csr = { row_off; ncol; ecol } }
 
-let n g = Array.length g.inc
+let n g = Array.length g.csr.row_off - 1
 
 let m g = Array.length g.ends
 
@@ -114,14 +101,24 @@ let with_weight g e w =
   weights.(e) <- w;
   { g with w = weights }
 
+(* Binary search of [u]'s row, which is sorted by neighbour. *)
+let rec find_edge c v lo hi =
+  if lo >= hi then None
+  else
+    let mid = (lo + hi) / 2 in
+    let x = c.ncol.(mid) in
+    if x = v then Some c.ecol.(mid)
+    else if x < v then find_edge c v (mid + 1) hi
+    else find_edge c v lo mid
+
 let edge_between g u v =
   if u < 0 || u >= n g || v < 0 || v >= n g then None
-  else
-    Array.fold_left
-      (fun acc (nbr, e) -> if nbr = v then Some e else acc)
-      None g.inc.(u)
+  else find_edge g.csr v g.csr.row_off.(u) g.csr.row_off.(u + 1)
 
-let incident g v = g.inc.(v)
+let incident g v =
+  let { row_off; ncol; ecol } = g.csr in
+  let lo = row_off.(v) in
+  Array.init (row_off.(v + 1) - lo) (fun i -> (ncol.(lo + i), ecol.(lo + i)))
 
 let fold_edges f g acc =
   let result = ref acc in

@@ -34,9 +34,9 @@ val weights_view : t -> float array
 
 (** {1 CSR view}
 
-    Flat incidence for the kernel loops: the incidences of [v] are
-    slots [row_off.(v) .. row_off.(v+1) - 1], neighbour in [ncol],
-    edge id in [ecol], sorted by neighbour like {!incident}.  Built
+    The graph's only incidence store, flat for the kernel loops: the
+    incidences of [v] are slots [row_off.(v) .. row_off.(v+1) - 1],
+    neighbour in [ncol], edge id in [ecol], sorted by neighbour.  Built
     once (incidence is immutable); weight swaps share it. *)
 
 type csr = {
@@ -55,11 +55,12 @@ val with_weights : t -> float array -> t
 val with_weight : t -> int -> float -> t
 
 val edge_between : t -> int -> int -> int option
-(** Edge id joining two nodes, if any. *)
+(** Edge id joining two nodes, if any: a binary search of the CSR
+    row. *)
 
 val incident : t -> int -> (int * int) array
-(** [incident g v] is the (shared, do not mutate) array of
-    [(neighbour, edge_id)] pairs, sorted by neighbour. *)
+(** [incident g v] is a fresh array of [(neighbour, edge_id)] pairs,
+    sorted by neighbour: a copy of [v]'s CSR row. *)
 
 val fold_edges : (int -> int -> int -> float -> 'a -> 'a) -> t -> 'a -> 'a
 (** [fold_edges f g acc] calls [f u v edge_id weight] once per edge with

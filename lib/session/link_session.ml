@@ -253,34 +253,39 @@ let set_cost t u v w =
     end
   end
 
+(* [f target weight acc] over row [u] of [g], in target order. *)
+let fold_row f g u acc =
+  let { Digraph.row_off; row_end; col; wgt } = Digraph.csr g in
+  let acc = ref acc in
+  for i = row_off.(u) to row_end.(u) - 1 do
+    acc := f col.(i) wgt.(i) !acc
+  done;
+  !acc
+
 let remove_node t k =
   flush t;
   let nn = n t in
   if k < 0 || k >= nn then invalid_arg "Link_session.remove_node: out of range";
   if k = t.root then invalid_arg "Link_session.remove_node: cannot remove the root";
-  (* rev out-links of k (forward links *into* k) can carry other nodes'
-     root-side paths; capture them before detaching. *)
-  let rev_out = Digraph.out_links t.rev k in
-  let fwd_out = Digraph.out_links t.g k in
+  (* every incident link deleted, expressed as rev-graph edits and read
+     off both rows before detaching: rev out-links of k (forward links
+     *into* k) can carry other nodes' root-side paths.  The entry
+     avoid.(k) itself survives untouched (and exact): links incident to
+     k are invisible to the k-forbidden search. *)
+  let redits =
+    fold_row
+      (fun u w acc -> { Dynamic_sssp.u = k; v = u; w0 = w; w1 = infinity } :: acc)
+      t.rev k []
+  in
+  let redits =
+    fold_row
+      (fun y w acc -> { Dynamic_sssp.u = y; v = k; w0 = w; w1 = infinity } :: acc)
+      t.g k redits
+  in
   Digraph.detach_node t.g k;
   Digraph.detach_node t.rev k;
   mark_edit t;
   t.inval_passes <- t.inval_passes + 1;
-  (* every incident link deleted, expressed as rev-graph edits.  The
-     entry avoid.(k) itself survives untouched (and exact): links
-     incident to k are invisible to the k-forbidden search. *)
-  let redits =
-    Array.fold_left
-      (fun acc (u, w) ->
-        { Dynamic_sssp.u = k; v = u; w0 = w; w1 = infinity } :: acc)
-      [] rev_out
-  in
-  let redits =
-    Array.fold_left
-      (fun acc (y, w) ->
-        { Dynamic_sssp.u = y; v = k; w0 = w; w1 = infinity } :: acc)
-      redits fwd_out
-  in
   repair_spt t redits;
   repair_avoid_entries t redits
 
@@ -316,17 +321,13 @@ let apply_links t id ~out ~inn =
    away). *)
 let attach_redits t id =
   let redits =
-    Array.fold_left
-      (fun acc (v, w) ->
-        { Dynamic_sssp.u = v; v = id; w0 = infinity; w1 = w } :: acc)
-      []
-      (Digraph.out_links t.g id)
+    fold_row
+      (fun v w acc -> { Dynamic_sssp.u = v; v = id; w0 = infinity; w1 = w } :: acc)
+      t.g id []
   in
-  Array.fold_left
-    (fun acc (u, w) ->
-      { Dynamic_sssp.u = id; v = u; w0 = infinity; w1 = w } :: acc)
-    redits
-    (Digraph.out_links t.rev id)
+  fold_row
+    (fun u w acc -> { Dynamic_sssp.u = id; v = u; w0 = infinity; w1 = w } :: acc)
+    t.rev id redits
 
 let attach t id =
   t.inval_passes <- t.inval_passes + 1;
@@ -374,8 +375,7 @@ let rejoin_node t k ~out ~inn =
   if k < 0 || k >= nn then invalid_arg "Link_session.rejoin_node: out of range";
   if k = t.root then invalid_arg "Link_session.rejoin_node: cannot rejoin the root";
   if
-    Array.length (Digraph.out_links t.g k) > 0
-    || Array.length (Digraph.out_links t.rev k) > 0
+    Digraph.out_degree t.g k > 0 || Digraph.out_degree t.rev k > 0
   then invalid_arg "Link_session.rejoin_node: node is not isolated";
   List.iter (check_attach_link ~what:"Link_session.rejoin_node" ~n:nn ~self:k) out;
   List.iter (check_attach_link ~what:"Link_session.rejoin_node" ~n:nn ~self:k) inn;

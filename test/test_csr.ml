@@ -1,9 +1,10 @@
-(* The CSR tentpole's contracts (ISSUE: CSR graph kernels):
+(* The CSR contracts:
 
-   - the flat views are semantically the boxed accessors — [Digraph.csr]
-     must agree with [out_links]/[weight] after ANY interleaving of
-     in-place weight edits, node growth, and detachment (the in-place
-     maintenance and the lazy rebuild must be indistinguishable);
+   - [Digraph]'s CSR, its only store, must match an independent model
+     of the link set after ANY interleaving of in-place weight edits,
+     inserts, deletes, node growth and detachment — rows sorted, slices
+     disjoint — and a detach followed by the same links' rejoin must
+     move no row;
    - the CSR Dijkstra kernels (ban mask, key-only pops, scratch-owned
      result) are [Float.equal]-identical to the boxed forbidden-node
      oracle ([Oracle.link_dist]/[node_dist]), the node model through
@@ -18,32 +19,63 @@ module Rng = Wnet_prng.Rng
 let floats_equal a b =
   Array.length a = Array.length b && Array.for_all2 Float.equal a b
 
-(* ---------------- view ≡ boxed accessors ---------------- *)
+(* ---------------- view ≡ an independent model ---------------- *)
 
-(* One structural+weight fuzz: does the CSR view agree with the boxed
-   adjacency, row by row, slot by slot? *)
-let digraph_csr_agrees g =
-  let n = Digraph.n g in
-  let { Digraph.row_off; col; wgt } = Digraph.csr g in
-  Array.length row_off = n + 1
-  && row_off.(0) = 0
-  && row_off.(n) = Digraph.m g
-  && begin
-       let ok = ref true in
-       for u = 0 to n - 1 do
-         let row = Digraph.out_links g u in
-         if row_off.(u + 1) - row_off.(u) <> Array.length row then ok := false
-         else
-           Array.iteri
-             (fun i (v, w) ->
-               let s = row_off.(u) + i in
-               if col.(s) <> v || not (Float.equal wgt.(s) w) then ok := false)
-             row
-       done;
-       !ok
-     end
+(* The CSR is [Digraph]'s only store, and [out_links] and the oracle
+   read it too, so edits are checked against a model the test keeps
+   itself: a table of (u, v) -> w.  Every row must be strictly sorted,
+   live slices must not overlap, and slots, [m], [weight] and
+   [out_links] must all agree with the model. *)
+let check_against_model g ~n model =
+  let { Digraph.row_off; row_end; col; wgt } = Digraph.csr g in
+  if Digraph.n g <> n || Array.length row_off <> n || Array.length row_end <> n
+  then QCheck2.Test.fail_reportf "node count diverged from the model";
+  if Digraph.m g <> Hashtbl.length model then
+    QCheck2.Test.fail_reportf "m = %d, model has %d links" (Digraph.m g)
+      (Hashtbl.length model);
+  if Array.length wgt <> Array.length col then
+    QCheck2.Test.fail_reportf "col and wgt lengths differ";
+  let slots = ref 0 and live = ref [] in
+  for u = 0 to n - 1 do
+    let lo = row_off.(u) and hi = row_end.(u) in
+    if lo < 0 || hi < lo || hi > Array.length col then
+      QCheck2.Test.fail_reportf "row %d slice [%d, %d) out of bounds" u lo hi;
+    if hi > lo then live := (lo, hi) :: !live;
+    for i = lo to hi - 1 do
+      if i > lo && col.(i - 1) >= col.(i) then
+        QCheck2.Test.fail_reportf "row %d not strictly sorted" u;
+      (match Hashtbl.find_opt model (u, col.(i)) with
+      | Some w when Float.equal w wgt.(i) -> ()
+      | _ -> QCheck2.Test.fail_reportf "slot %d -> %d not in the model" u col.(i));
+      incr slots
+    done;
+    let row = Digraph.out_links g u in
+    if
+      Array.length row <> hi - lo
+      || not
+           (Array.for_all Fun.id
+              (Array.mapi
+                 (fun i (v, w) -> col.(lo + i) = v && Float.equal wgt.(lo + i) w)
+                 row))
+    then QCheck2.Test.fail_reportf "out_links %d diverged from its slice" u
+  done;
+  if !slots <> Hashtbl.length model then
+    QCheck2.Test.fail_reportf "%d live slots, model has %d links" !slots
+      (Hashtbl.length model);
+  ignore
+    (List.fold_left
+       (fun prev_end (lo, hi) ->
+         if lo < prev_end then QCheck2.Test.fail_reportf "row slices overlap";
+         hi)
+       0
+       (List.sort compare !live));
+  Hashtbl.iter
+    (fun (u, v) w ->
+      if not (Float.equal (Digraph.weight g u v) w) then
+        QCheck2.Test.fail_reportf "weight %d -> %d diverged" u v)
+    model
 
-let random_digraph rng ~n =
+let random_links rng ~n =
   let links = ref [] in
   let p = 3.0 /. float_of_int n in
   for u = 0 to n - 1 do
@@ -52,36 +84,95 @@ let random_digraph rng ~n =
         links := (u, v, Rng.float_range rng 0.5 10.0) :: !links
     done
   done;
-  Digraph.create ~n ~links:!links
+  !links
 
+let random_digraph rng ~n = Digraph.create ~n ~links:(random_links rng ~n)
+
+(* 400 steps on at most 20 nodes, inserts outnumbering deletes: full
+   rows move to the tail and the tail runs out many times over, so row
+   moves and repacks are exercised, not just in-row shifts. *)
 let digraph_edit_prop seed =
   let rng = Rng.create seed in
-  let n = 4 + Rng.int rng 17 in
-  let g = random_digraph rng ~n in
-  (* Interleave reads with edits: a [csr] call between edits exercises
-     the in-place weight maintenance on a LIVE cache, not just the lazy
-     rebuild at the end. *)
-  for _ = 1 to 30 do
-    let nn = Digraph.n g in
-    (match Rng.int rng 8 with
-    | 0 | 1 | 2 | 3 ->
-      (* weight set / insert / delete on a random pair *)
-      let u = Rng.int rng nn and v = Rng.int rng nn in
+  let n = ref (4 + Rng.int rng 17) in
+  let links = random_links rng ~n:!n in
+  let model = Hashtbl.create 64 in
+  List.iter
+    (fun (u, v, w) ->
+      match Hashtbl.find_opt model (u, v) with
+      | Some w' when w' <= w -> ()
+      | _ -> Hashtbl.replace model (u, v) w)
+    links;
+  let g = Digraph.create ~n:!n ~links in
+  check_against_model g ~n:!n model;
+  for _ = 1 to 400 do
+    (match Rng.int rng 20 with
+    | 0 -> ignore (Digraph.add_node g); incr n
+    | 1 ->
+      let v = Rng.int rng !n in
+      Digraph.detach_node g v;
+      Hashtbl.filter_map_inplace
+        (fun (a, b) w -> if a = v || b = v then None else Some w)
+        model
+    | k ->
+      let u = Rng.int rng !n and v = Rng.int rng !n in
       if u <> v then
-        let w =
-          if Rng.bernoulli rng 0.25 then infinity
-          else Rng.float_range rng 0.5 10.0
-        in
-        Digraph.set_weight g u v w
-    | 4 -> ignore (Digraph.add_node g)
-    | 5 -> Digraph.detach_node g (Rng.int rng nn)
-    | _ ->
-      (* materialize the view so the next edit hits a valid cache *)
-      ignore (Digraph.csr g));
-    if not (digraph_csr_agrees g) then
-      QCheck2.Test.fail_reportf "CSR view diverged from out_links/weight"
+        if k < 6 then begin
+          Digraph.set_weight g u v infinity;
+          Hashtbl.remove model (u, v)
+        end
+        else begin
+          let w = Rng.float_range rng 0.5 10.0 in
+          Digraph.set_weight g u v w;
+          Hashtbl.replace model (u, v) w
+        end);
+    check_against_model g ~n:!n model
   done;
   true
+
+(* Leave then rejoin with the same links: every row kept its slots, so
+   nothing moves and the arrays are the very same ones. *)
+let test_detach_rejoin_moves_no_row () =
+  let rng = Rng.create 5 in
+  let g = random_digraph rng ~n:30 in
+  let before = Digraph.csr g in
+  let off = Array.copy before.Digraph.row_off in
+  for v = 0 to 29 do
+    let out = Digraph.out_links g v in
+    let inn =
+      List.filter_map
+        (fun (u, t, w) -> if t = v then Some (u, w) else None)
+        (Digraph.links g)
+    in
+    Digraph.detach_node g v;
+    Alcotest.(check int) "isolated" 0 (Digraph.out_degree g v);
+    List.iter (fun (u, w) -> Digraph.set_weight g u v w) inn;
+    Array.iter (fun (t, w) -> Digraph.set_weight g v t w) out
+  done;
+  let after = Digraph.csr g in
+  Alcotest.(check bool) "col not reallocated" true
+    (before.Digraph.col == after.Digraph.col);
+  Alcotest.(check bool) "wgt not reallocated" true
+    (before.Digraph.wgt == after.Digraph.wgt);
+  Alcotest.(check (array int)) "no row moved" off after.Digraph.row_off
+
+(* Growing one row link by link: it outgrows its slots again and again,
+   moves to the tail, and the arrays are repacked when the tail runs
+   out — the links stay exact throughout. *)
+let test_full_rows_move () =
+  let n = 40 in
+  let g = Digraph.create ~n ~links:[ (1, 2, 1.0); (2, 3, 1.0) ] in
+  let col0 = (Digraph.csr g).Digraph.col in
+  for v = 1 to n - 1 do
+    Digraph.set_weight g 0 v (float_of_int v)
+  done;
+  Alcotest.(check bool) "arrays repacked" false
+    (col0 == (Digraph.csr g).Digraph.col);
+  Alcotest.(check int) "m" (n + 1) (Digraph.m g);
+  Alcotest.(check (list int)) "row 0 sorted and complete"
+    (List.init (n - 1) (fun i -> i + 1))
+    (Array.to_list (Array.map fst (Digraph.out_links g 0)));
+  Test_util.check_float "1 -> 2 kept" 1.0 (Digraph.weight g 1 2);
+  Test_util.check_float "0 -> 17" 17.0 (Digraph.weight g 0 17)
 
 let graph_csr_prop seed =
   let rng = Rng.create seed in
@@ -154,7 +245,7 @@ let link_kernel_prop seed =
     (* the convenience wrapper must leave the ban mask clean *)
     if Bytes.exists (fun c -> c <> '\000') (Dijkstra.ban_mask scratch) then
       QCheck2.Test.fail_reportf "ban mask left dirty";
-    (* a weight edit between runs must be visible through the cached view *)
+    (* a weight edit between runs must be visible to the next run *)
     let u = Rng.int rng n and v = Rng.int rng n in
     if u <> v then Digraph.set_weight g u v (Rng.float_range rng 0.5 10.0)
   done;
@@ -289,6 +380,10 @@ let suite =
   [
     Test_util.qcheck_case ~count:60 "digraph CSR = out_links under edits"
       Test_util.seed_gen digraph_edit_prop;
+    Alcotest.test_case "digraph detach then rejoin moves no row" `Quick
+      test_detach_rejoin_moves_no_row;
+    Alcotest.test_case "digraph full rows move to the tail" `Quick
+      test_full_rows_move;
     Test_util.qcheck_case ~count:60 "graph CSR = neighbors"
       Test_util.seed_gen graph_csr_prop;
     Test_util.qcheck_case ~count:60 "egraph CSR = incident"
