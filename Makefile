@@ -1,5 +1,6 @@
 .PHONY: all test bench microbench microbench-smoke smoke smoke-shard \
-	dsim-smoke no-node-copies no-boxed-rows check check-quick experiments \
+	dsim-smoke no-node-copies no-boxed-rows one-scheduler check check-quick \
+	experiments \
 	full clean \
 	clean-bench
 
@@ -89,17 +90,31 @@ no-boxed-rows:
 	  exit 1; \
 	fi
 
+# Wnet_par runs every combinator through one work-stealing core; fail if
+# a second combinator family comes back, or if anything but that core
+# posts a job.
+one-scheduler:
+	@if grep -nE 'map_reduce|map_array_with|submit|await|_stealing' lib/par/wnet_par.ml lib/par/wnet_par.mli; then \
+	  echo "a second scheduler is back in Wnet_par: keep parallel_for/map_array/map_array_pooled on the one core" >&2; \
+	  exit 1; \
+	fi
+	@calls=$$(grep -v 'let run_job' lib/par/wnet_par.ml lib/par/wnet_par.mli | grep -c 'run_job'); \
+	if [ "$$calls" -ne 1 ]; then \
+	  echo "run_job has $$calls call sites; only the scheduler core may post a job" >&2; \
+	  exit 1; \
+	fi
+
 # The whole bar: build, tier-1 tests, socket smoke, then the gated
 # benchmark run.
 check: all test smoke smoke-shard bench
 
-# The fast bar for CI and pre-push: the node-copy and boxed-row guards, build, tier-1
-# tests, the socket smoke, the micro-suite smoke (allocation assertions,
-# no timing), and the dsim oracle smoke — everything deterministic,
-# nothing wall-clock-gated.  The timing-sensitive `bench` gate stays out: it
+# The fast bar for CI and pre-push: the node-copy, boxed-row and
+# one-scheduler guards, build, tier-1 tests, the socket smoke, the
+# micro-suite smoke (allocation assertions, no timing), and the dsim
+# oracle smoke — everything deterministic, nothing wall-clock-gated.  The timing-sensitive `bench` gate stays out: it
 # needs a quiet machine and a previous BENCH_latest.json to compare
 # against.
-check-quick: no-node-copies no-boxed-rows all test smoke smoke-shard microbench-smoke dsim-smoke
+check-quick: no-node-copies no-boxed-rows one-scheduler all test smoke smoke-shard microbench-smoke dsim-smoke
 
 experiments:
 	dune exec bench/main.exe -- experiments

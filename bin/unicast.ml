@@ -75,8 +75,18 @@ let pay_cmd =
 
 (* -- batch -- *)
 
+(* An out-of-range size is a usage error here, not an uncaught
+   [Invalid_argument] from [Wnet_par.create]. *)
+let pool_size =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 && k <= 128 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "invalid pool size %S: expected 1..128" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let domains_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some pool_size) None
        & info [ "domains" ] ~docv:"K"
            ~doc:"Domain pool size (default: $(b,WNET_DOMAINS), else the \
                  recommended core count).  Results are identical for every \

@@ -293,7 +293,7 @@ let run ?max_rounds ?(pool = Wnet_par.sequential) g spec =
       done
   in
   let step_phase round stepped slen =
-    Wnet_par.iter_stealing pool ~lo:0 ~hi:slen (fun i ->
+    Wnet_par.parallel_for pool ~lo:0 ~hi:slen (fun i ->
         let v = stepped.(i) in
         let a = !cur in
         let ib = views.(v) in

@@ -11,14 +11,13 @@ let study ?(n = 150) ?(instances = 5) ?(pool = Wnet_par.sequential) ~seed () =
      given their RNG streams: pre-split the children in order, fan the
      per-instance hop tables out over the pool, then merge them
      positionally — instance order is fixed, so the result is identical
-     for every pool size.  The stealing map (rather than a static chunk)
-     lets Yen's per-round spur Dijkstras fan out *within* an instance
-     too: each instance task re-enters the same pool via
-     [Ksp.k_shortest_paths ~pool], and idle domains steal spur tasks
-     instead of waiting at the instance barrier. *)
+     for every pool size.  Yen's per-round spur Dijkstras fan out
+     *within* an instance too: each instance task re-enters the same
+     pool via [Ksp.k_shortest_paths ~pool], and idle domains steal spur
+     tasks instead of waiting at the instance barrier. *)
   let children = Array.init instances (fun _ -> Wnet_prng.Rng.split rng) in
   let tables =
-    Wnet_par.map_array_stealing pool
+    Wnet_par.map_array pool
       (fun child ->
         let t = Wnet_topology.Udg.paper_instance child ~n in
         let costs =

@@ -42,9 +42,27 @@ let m g = g.m
 
 let out_degree g u = g.csr.row_end.(u) - g.csr.row_off.(u)
 
+(* Stable sort of slots [lo .. hi - 1] by target; a row that is already
+   in order (a generated instance's always is) is left alone. *)
+let sort_row (col : int array) wgt lo hi =
+  let sorted = ref true in
+  for i = lo + 1 to hi - 1 do
+    if col.(i) < col.(i - 1) then sorted := false
+  done;
+  if not !sorted then begin
+    let row = Array.init (hi - lo) (fun k -> (col.(lo + k), wgt.(lo + k))) in
+    Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) row;
+    Array.iteri
+      (fun k (v, w) ->
+        col.(lo + k) <- v;
+        wgt.(lo + k) <- w)
+      row
+  end
+
 let create ~n ~links =
   if n < 0 then invalid_arg "Digraph.create: negative node count";
-  let best = Hashtbl.create (2 * List.length links) in
+  (* Bucket the finite links by source row, in list order. *)
+  let start = Array.make (n + 1) 0 in
   List.iter
     (fun (u, v, w) ->
       if u < 0 || u >= n || v < 0 || v >= n then
@@ -52,27 +70,44 @@ let create ~n ~links =
       if u = v then invalid_arg "Digraph.create: self-loop";
       if Float.is_nan w || w < 0.0 then
         invalid_arg "Digraph.create: weight must be non-negative";
-      if w < infinity then
-        match Hashtbl.find_opt best (u, v) with
-        | Some w' when w' <= w -> ()
-        | _ -> Hashtbl.replace best (u, v) w)
+      if w < infinity then start.(u + 1) <- start.(u + 1) + 1)
     links;
-  let rows = Array.make n [] in
-  Hashtbl.iter (fun (u, v) w -> rows.(u) <- (v, w) :: rows.(u)) best;
-  let m = Hashtbl.length best in
-  let start = Array.make (n + 1) 0 in
-  let col = Array.make m 0 and wgt = Array.make m 0.0 in
-  for u = 0 to n - 1 do
-    let j = ref start.(u) in
-    List.iter
-      (fun (v, w) ->
-        col.(!j) <- v;
-        wgt.(!j) <- w;
-        incr j)
-      (List.sort (fun (a, _) (b, _) -> Int.compare a b) rows.(u));
-    start.(u + 1) <- !j
+  for u = 1 to n do
+    start.(u) <- start.(u) + start.(u - 1)
   done;
-  of_rows start col wgt
+  let fill = Array.sub start 0 n in
+  let col = Array.make start.(n) 0 and wgt = Array.make start.(n) 0.0 in
+  List.iter
+    (fun (u, v, w) ->
+      if w < infinity then begin
+        let i = fill.(u) in
+        col.(i) <- v;
+        wgt.(i) <- w;
+        fill.(u) <- i + 1
+      end)
+    links;
+  (* Sort each row, then compact it to one link per target: a later
+     duplicate replaces the kept link only if strictly cheaper, so ties
+     (signed zeros included) keep the earlier one. *)
+  let m = ref 0 in
+  for u = 0 to n - 1 do
+    let lo = start.(u) and hi = start.(u + 1) in
+    sort_row col wgt lo hi;
+    start.(u) <- !m;
+    for i = lo to hi - 1 do
+      if !m > start.(u) && col.(!m - 1) = col.(i) then begin
+        if wgt.(i) < wgt.(!m - 1) then wgt.(!m - 1) <- wgt.(i)
+      end
+      else begin
+        col.(!m) <- col.(i);
+        wgt.(!m) <- wgt.(i);
+        incr m
+      end
+    done
+  done;
+  start.(n) <- !m;
+  if !m = Array.length col then of_rows start col wgt
+  else of_rows start (Array.sub col 0 !m) (Array.sub wgt 0 !m)
 
 (* Insertion point of [v] in the sorted slice [lo .. hi - 1] of [col].
    Top level rather than local, so a lookup builds no closure: the

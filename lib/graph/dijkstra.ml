@@ -85,7 +85,7 @@ let link_weighted ?(forbidden = never) g source =
    caller's steady-state: set the bytes you need, run, clear them.
 
    A scratch is single-owner state: one concurrent run per scratch (each
-   pool participant gets its own via [Wnet_par.map_array_with]). *)
+   pool participant gets its own via [Wnet_par.map_array_pooled]). *)
 
 type scratch = {
   cap : int;

@@ -107,7 +107,7 @@ let k_shortest_paths ?(pool = Wnet_par.sequential) g ~src ~dst ~k =
             size. *)
          let known = !accepted @ List.map snd !candidates in
          let spurs =
-           Wnet_par.map_array_stealing pool
+           Wnet_par.map_array pool
              (spur_search g ~dst ~known ~prev)
              (Array.init (Array.length prev - 1) Fun.id)
          in

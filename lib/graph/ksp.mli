@@ -14,8 +14,8 @@ val k_shortest_paths :
     broken by the deterministic spur construction); fewer if the graph
     has fewer simple paths.  Each round's spur-path Dijkstras are
     independent tasks fanned out over [pool] (default
-    {!Wnet_par.sequential}) via the work-stealing layer — safe to call
-    from inside another stealing computation on the same pool — and the
+    {!Wnet_par.sequential}) — safe to call from inside another task on
+    the same pool — and the
     candidate merge is execution-order independent, so the result is
     identical at every pool size.
     @raise Invalid_argument if [k <= 0] or [src = dst] or out of

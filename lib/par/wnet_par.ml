@@ -1,28 +1,23 @@
-(* A fixed-size domain pool with static chunking, plus a work-stealing
-   layer for irregular workloads.
+(* A fixed-size domain pool with one work-stealing scheduler.
 
-   Work distribution in the base combinators is deliberately dumb: a job
-   is a function of the participant slot, each slot processes one
-   contiguous chunk, and the caller is participant 0.  The workloads
-   they serve (one avoidance Dijkstra per relay, one mechanism run per
-   instance) are uniform enough that static chunks keep every domain
-   busy, and the fixed assignment is what makes results reproducible
-   regardless of scheduling.
+   Every combinator runs an index range as one task per index.  Each
+   participant owns a bounded Chase–Lev deque: the owner pushes and pops
+   at the bottom (LIFO, so nested tasks run close to their data),
+   thieves CAS the top.  A full deque never blocks — the owner just runs
+   the task inline.  A top-level call posts one job on which every
+   participant seeds its deque with a static chunk, so the uniform case
+   keeps chunked locality and stealing only redistributes the stragglers
+   (one huge avoidance repair, one long Yen spur round).  A call made
+   from inside a running task pushes its tasks onto the calling
+   participant's own deque and helps until they are done.  Results land
+   by index, so only the *execution* order is scheduling-dependent.
 
-   Synchronisation is a single mutex plus two condition variables: the
+   Posting a job is a single mutex plus two condition variables: the
    generation counter tells workers a new job is posted; the pending
-   counter tells the caller every worker chunk has finished.  The first
-   exception raised by any chunk is stored and re-raised in the caller
-   once the job has fully drained (workers never die on a job failure).
-
-   The stealing layer ([submit]/[await], [map_array_stealing*]) keeps
-   the same determinism contract — results land by index, so only the
-   *execution* order is scheduling-dependent — but lets an oversized
-   element (one huge avoidance repair, one long Yen spur round) be
-   backfilled by whichever domains finish early.  Each participant owns
-   a bounded Chase–Lev deque: the owner pushes and pops at the bottom
-   (LIFO, so nested tasks run close to their data), thieves CAS the top.
-   A full deque never blocks — the owner just runs the task inline. *)
+   counter tells the caller every worker has finished.  A task's
+   exception is caught in the task; the first one is re-raised in the
+   caller once every task has run (workers never die on a job
+   failure). *)
 
 module Deque = struct
   (* Bounded Chase–Lev deque.  Every shared word is an [Atomic.t], so
@@ -100,6 +95,9 @@ end
 
 let deque_capacity = 4096
 
+(* OCaml 5.1 runs at most 128 domains at once. *)
+let max_domains = 128
+
 type t = {
   size : int;
   lock : Mutex.t;
@@ -124,9 +122,9 @@ let default_domains () =
   match Sys.getenv_opt "WNET_DOMAINS" with
   | Some s ->
     (match int_of_string_opt (String.trim s) with
-     | Some k when k >= 1 -> min k 128
+     | Some k when k >= 1 -> min k max_domains
      | _ -> invalid_arg "WNET_DOMAINS must be a positive integer")
-  | None -> max 1 (Domain.recommended_domain_count ())
+  | None -> max 1 (min max_domains (Domain.recommended_domain_count ()))
 
 let make ~size =
   {
@@ -178,20 +176,6 @@ let worker pool slot =
   in
   loop ()
 
-let create ?domains () =
-  let size =
-    match domains with
-    | None -> default_domains ()
-    | Some k when k >= 1 -> k
-    | Some _ -> invalid_arg "Wnet_par.create: domains must be >= 1"
-  in
-  let pool = make ~size in
-  if size > 1 then
-    pool.domains <-
-      Array.init (size - 1) (fun i ->
-          Domain.spawn (fun () -> worker pool (i + 1)));
-  pool
-
 let shutdown pool =
   if Array.length pool.domains > 0 then begin
     Mutex.lock pool.lock;
@@ -202,34 +186,54 @@ let shutdown pool =
     pool.domains <- [||]
   end
 
+let create ?domains () =
+  let size =
+    match domains with
+    | None -> default_domains ()
+    | Some k when k >= 1 && k <= max_domains -> k
+    | Some _ -> invalid_arg "Wnet_par.create: domains must be in [1, 128]"
+  in
+  let pool = make ~size in
+  let spawned = ref [] in
+  (try
+     for slot = 1 to size - 1 do
+       spawned := Domain.spawn (fun () -> worker pool slot) :: !spawned
+     done
+   with e ->
+     (* other domains may hold part of the limit: stop the workers this
+        pool already started before giving up *)
+     let bt = Printexc.get_raw_backtrace () in
+     pool.domains <- Array.of_list !spawned;
+     shutdown pool;
+     Printexc.raise_with_backtrace e bt);
+  pool.domains <- Array.of_list !spawned;
+  pool
+
 let with_pool ?domains f =
   let pool = create ?domains () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
-(* Runs [f slot] on every participant and waits for all of them.  The
-   caller takes slot 0 so a size-1 pool is a plain call. *)
+(* Runs [f slot] on every participant and waits for all of them; the
+   caller takes slot 0.  Only [run] posts jobs. *)
 let run_job pool f =
-  if pool.size = 1 then f 0
-  else begin
-    if pool.stop then invalid_arg "Wnet_par: pool is shut down";
-    Mutex.lock pool.lock;
-    pool.job <- Some f;
-    pool.failure <- None;
-    pool.pending <- pool.size - 1;
-    pool.generation <- pool.generation + 1;
-    Condition.broadcast pool.work_ready;
-    Mutex.unlock pool.lock;
-    (try f 0 with e -> record_failure pool e);
-    Mutex.lock pool.lock;
-    while pool.pending > 0 do
-      Condition.wait pool.work_done pool.lock
-    done;
-    pool.job <- None;
-    let failure = pool.failure in
-    pool.failure <- None;
-    Mutex.unlock pool.lock;
-    match failure with Some e -> raise e | None -> ()
-  end
+  if pool.stop then invalid_arg "Wnet_par: pool is shut down";
+  Mutex.lock pool.lock;
+  pool.job <- Some f;
+  pool.failure <- None;
+  pool.pending <- pool.size - 1;
+  pool.generation <- pool.generation + 1;
+  Condition.broadcast pool.work_ready;
+  Mutex.unlock pool.lock;
+  (try f 0 with e -> record_failure pool e);
+  Mutex.lock pool.lock;
+  while pool.pending > 0 do
+    Condition.wait pool.work_done pool.lock
+  done;
+  pool.job <- None;
+  let failure = pool.failure in
+  pool.failure <- None;
+  Mutex.unlock pool.lock;
+  match failure with Some e -> raise e | None -> ()
 
 (* Chunk [i] of [parts] over [lo, hi): contiguous, sizes differing by at
    most one, earlier chunks taking the remainder. *)
@@ -240,80 +244,6 @@ let chunk ~lo ~hi parts i =
   let stop = start + base + if i < rem then 1 else 0 in
   (start, stop)
 
-let parallel_for pool ~lo ~hi body =
-  if hi > lo then
-    if pool.size = 1 then
-      for i = lo to hi - 1 do
-        body i
-      done
-    else
-      run_job pool (fun slot ->
-          let start, stop = chunk ~lo ~hi pool.size slot in
-          for i = start to stop - 1 do
-            body i
-          done)
-
-let map_array_with pool ~init f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    (* Element 0 seeds the result array (avoiding any unsafe
-       uninitialised cells); the caller's chunk reuses its state. *)
-    let s0 = init () in
-    let res = Array.make n (f s0 a.(0)) in
-    if n > 1 then
-      if pool.size = 1 then
-        for i = 1 to n - 1 do
-          res.(i) <- f s0 a.(i)
-        done
-      else
-        run_job pool (fun slot ->
-            let lo, hi = chunk ~lo:1 ~hi:n pool.size slot in
-            if lo < hi then begin
-              let s = if slot = 0 then s0 else init () in
-              for i = lo to hi - 1 do
-                res.(i) <- f s a.(i)
-              done
-            end);
-    res
-  end
-
-let map_array pool f a =
-  map_array_with pool ~init:(fun () -> ()) (fun () x -> f x) a
-
-(* Like [map_array_with], but the per-participant states outlive the
-   call: participant [slot] always works through [states.(slot)].  This
-   is what lets a payment session keep one Dijkstra scratch per domain
-   alive across requests instead of reallocating per batch.  Element 0
-   is computed by the caller (slot 0) before the job is posted, so each
-   state is still touched by exactly one domain at a time. *)
-let map_array_pooled pool ~states f a =
-  if Array.length states < pool.size then
-    invalid_arg "Wnet_par.map_array_pooled: need one state per participant";
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let res = Array.make n (f states.(0) a.(0)) in
-    if n > 1 then
-      if pool.size = 1 then
-        for i = 1 to n - 1 do
-          res.(i) <- f states.(0) a.(i)
-        done
-      else
-        run_job pool (fun slot ->
-            let lo, hi = chunk ~lo:1 ~hi:n pool.size slot in
-            if lo < hi then begin
-              let s = states.(slot) in
-              for i = lo to hi - 1 do
-                res.(i) <- f s a.(i)
-              done
-            end);
-    res
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Work-stealing layer.                                                *)
-
 type stats = { tasks_executed : int; tasks_stolen : int }
 
 let stats pool =
@@ -323,8 +253,7 @@ let stats pool =
   }
 
 (* Which (pool, slot) is this domain currently a participant of?  Set
-   for the duration of a stealing job; [submit] and the nested case of
-   [map_array_stealing] key off it. *)
+   for the duration of a job; a call that finds it set is nested. *)
 let tl_slot : (t * int) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
@@ -375,253 +304,72 @@ let help_once pool slot =
       true
     | None -> false)
 
-type 'a task = 'a task_state Atomic.t
-and 'a task_state = Todo | Done of 'a | Failed of exn
-
-let submit pool f =
-  let tk = Atomic.make Todo in
-  let run _slot =
-    let st = try Done (f ()) with e -> Failed e in
-    Atomic.set tk st
-  in
-  (match slot_of pool with
-  | Some s when pool.size > 1 ->
-    if not (Deque.push pool.deques.(s) run) then
-      run_thunk pool ~stolen:false s run
-  | _ ->
-    (* outside any stealing job (or a size-1 pool): eager, in
-       submission order — the degenerate deterministic schedule *)
-    Atomic.incr pool.exec_count;
-    run 0);
-  tk
-
-let await pool tk =
-  let rec go spins =
-    match Atomic.get tk with
-    | Done v -> v
-    | Failed e -> raise e
-    | Todo ->
-      let ran =
-        match slot_of pool with
-        | Some s when pool.size > 1 -> help_once pool s
-        | _ -> false
-      in
-      if ran then go 0
-      else begin
-        idle_backoff spins;
-        go (spins + 1)
-      end
-  in
-  go 0
-
-(* Shared scaffolding for the two stealing maps.  Element 0 seeds the
-   result array in the initiator (with its own state), the rest become
-   one task each; tasks record the first failure in [fail] and always
-   bump their completion signal, so scheduling can never deadlock on an
-   exception.  Results land by index and each state is only ever used
-   by the domain currently running the task, so the output is identical
-   to the sequential loop whenever [f]'s result does not depend on the
-   state's prior contents — the same contract as [map_array_pooled]. *)
-let stealing_run pool ~state_of f a res fail =
-  let n = Array.length a in
-  match slot_of pool with
-  | Some s ->
-    (* Nested: we are already a participant of a running job on this
-       pool.  Push one task per element onto our own deque (in reverse,
-       so our own pops execute in ascending order) and help until every
-       flag is up; idle siblings steal from the top. *)
-    let dq = pool.deques.(s) in
-    let flags = Array.init (n - 1) (fun _ -> Atomic.make false) in
-    for j = n - 2 downto 0 do
-      let i = j + 1 in
-      let th slot =
-        (try res.(i) <- f (state_of slot) a.(i)
-         with e -> ignore (Atomic.compare_and_set fail None (Some e)));
-        Atomic.set flags.(j) true
-      in
-      if not (Deque.push dq th) then run_thunk pool ~stolen:false s th
-    done;
-    for j = 0 to n - 2 do
-      let spins = ref 0 in
-      while not (Atomic.get flags.(j)) do
-        if help_once pool s then spins := 0
-        else begin
-          idle_backoff !spins;
-          incr spins
-        end
-      done
-    done
-  | None ->
-    (* Top level: post a job; every participant seeds its deque with its
-       static chunk (stealing only kicks in on imbalance, so the common
-       uniform case keeps the chunked locality), then drains until the
-       whole call is done. *)
-    let remaining = Atomic.make (n - 1) in
-    run_job pool (fun slot ->
-        let saved = Domain.DLS.get tl_slot in
-        Domain.DLS.set tl_slot (Some (pool, slot));
-        Fun.protect
-          ~finally:(fun () -> Domain.DLS.set tl_slot saved)
-          (fun () ->
-            let dq = pool.deques.(slot) in
-            let lo, hi = chunk ~lo:1 ~hi:n pool.size slot in
-            for i = hi - 1 downto lo do
-              let th slot' =
-                (try res.(i) <- f (state_of slot') a.(i)
-                 with e -> ignore (Atomic.compare_and_set fail None (Some e)));
-                Atomic.decr remaining
-              in
-              if not (Deque.push dq th) then run_thunk pool ~stolen:false slot th
-            done;
-            let spins = ref 0 in
-            while Atomic.get remaining > 0 do
-              if help_once pool slot then spins := 0
-              else begin
-                idle_backoff !spins;
-                incr spins
-              end
-            done))
-
-let map_array_stealing_pooled pool ~states f a =
-  if Array.length states < pool.size then
-    invalid_arg "Wnet_par.map_array_stealing_pooled: need one state per participant";
-  let n = Array.length a in
-  if n = 0 then [||]
-  else if pool.size = 1 then begin
-    let s0 = states.(0) in
-    let res = Array.make n (f s0 a.(0)) in
-    for i = 1 to n - 1 do
-      res.(i) <- f s0 a.(i)
-    done;
-    ignore (Atomic.fetch_and_add pool.exec_count n);
-    res
-  end
-  else begin
-    let res = Array.make n (f states.(0) a.(0)) in
-    Atomic.incr pool.exec_count;
-    if n > 1 then begin
-      let fail = Atomic.make None in
-      stealing_run pool ~state_of:(fun slot -> states.(slot)) f a res fail;
-      match Atomic.get fail with Some e -> raise e | None -> ()
-    end;
-    res
-  end
-
-let map_array_stealing pool f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else if pool.size = 1 then begin
-    let res = Array.make n (f a.(0)) in
-    for i = 1 to n - 1 do
-      res.(i) <- f a.(i)
-    done;
-    ignore (Atomic.fetch_and_add pool.exec_count n);
-    res
-  end
-  else begin
-    let res = Array.make n (f a.(0)) in
-    Atomic.incr pool.exec_count;
-    if n > 1 then begin
-      let fail = Atomic.make None in
-      stealing_run pool
-        ~state_of:(fun _ -> ())
-        (fun () x -> f x)
-        a res fail;
-      match Atomic.get fail with Some e -> raise e | None -> ()
-    end;
-    res
-  end
-
-(* Index-space variant of the stealing maps: one stolen task per index,
-   no result array.  The body writes wherever it likes (disjoint
-   locations per index, as with [parallel_for]); the point over
-   [parallel_for] is that an oversized index is backfilled by whichever
-   participants finish their chunks early.  Reuses the same seeding
-   discipline as [stealing_run]: each participant queues its static
-   chunk in reverse so its own pops run in ascending order. *)
-let iter_stealing pool ~lo ~hi body =
-  let n = hi - lo in
-  if n <= 0 then ()
-  else if pool.size = 1 then begin
-    for i = lo to hi - 1 do
-      body i
-    done;
-    ignore (Atomic.fetch_and_add pool.exec_count n)
-  end
-  else begin
-    let fail = Atomic.make None in
-    (match slot_of pool with
-    | Some s ->
-      (* Nested inside a running stealing job: push every index onto our
-         own deque and help until each one's flag is up. *)
-      let dq = pool.deques.(s) in
-      let flags = Array.init n (fun _ -> Atomic.make false) in
-      for j = n - 1 downto 0 do
-        let i = lo + j in
-        let th _slot =
-          (try body i
-           with e -> ignore (Atomic.compare_and_set fail None (Some e)));
-          Atomic.set flags.(j) true
-        in
-        if not (Deque.push dq th) then run_thunk pool ~stolen:false s th
+(* The scheduler: [body slot i] for every [i] in [lo, hi), one task per
+   index, where [slot] is the participant executing the task.  Every
+   task records the first failure and always counts itself done, so an
+   exception can never leave a participant waiting. *)
+let run pool ~lo ~hi body =
+  if hi > lo then
+    if pool.size = 1 then begin
+      for i = lo to hi - 1 do
+        body 0 i
       done;
-      for j = 0 to n - 1 do
+      ignore (Atomic.fetch_and_add pool.exec_count (hi - lo))
+    end
+    else begin
+      let remaining = Atomic.make (hi - lo) in
+      let fail = Atomic.make None in
+      (* Queue [clo, chi) on [slot]'s deque in reverse, so the owner's
+         own pops run in ascending order, then help until the whole call
+         is done. *)
+      let seed_and_help slot ~clo ~chi =
+        let dq = pool.deques.(slot) in
+        for i = chi - 1 downto clo do
+          let th slot' =
+            (try body slot' i
+             with e -> ignore (Atomic.compare_and_set fail None (Some e)));
+            Atomic.decr remaining
+          in
+          if not (Deque.push dq th) then run_thunk pool ~stolen:false slot th
+        done;
         let spins = ref 0 in
-        while not (Atomic.get flags.(j)) do
-          if help_once pool s then spins := 0
+        while Atomic.get remaining > 0 do
+          if help_once pool slot then spins := 0
           else begin
             idle_backoff !spins;
             incr spins
           end
         done
-      done
-    | None ->
-      let remaining = Atomic.make n in
-      run_job pool (fun slot ->
-          let saved = Domain.DLS.get tl_slot in
-          Domain.DLS.set tl_slot (Some (pool, slot));
-          Fun.protect
-            ~finally:(fun () -> Domain.DLS.set tl_slot saved)
-            (fun () ->
-              let dq = pool.deques.(slot) in
-              let clo, chi = chunk ~lo ~hi pool.size slot in
-              for i = chi - 1 downto clo do
-                let th _slot =
-                  (try body i
-                   with e -> ignore (Atomic.compare_and_set fail None (Some e)));
-                  Atomic.decr remaining
-                in
-                if not (Deque.push dq th) then
-                  run_thunk pool ~stolen:false slot th
-              done;
-              let spins = ref 0 in
-              while Atomic.get remaining > 0 do
-                if help_once pool slot then spins := 0
-                else begin
-                  idle_backoff !spins;
-                  incr spins
-                end
-              done)));
-    match Atomic.get fail with Some e -> raise e | None -> ()
+      in
+      (match slot_of pool with
+      | Some s -> seed_and_help s ~clo:lo ~chi:hi
+      | None ->
+        run_job pool (fun slot ->
+            let saved = Domain.DLS.get tl_slot in
+            Domain.DLS.set tl_slot (Some (pool, slot));
+            let clo, chi = chunk ~lo ~hi pool.size slot in
+            Fun.protect
+              ~finally:(fun () -> Domain.DLS.set tl_slot saved)
+              (fun () -> seed_and_help slot ~clo ~chi)));
+      match Atomic.get fail with Some e -> raise e | None -> ()
+    end
+
+let parallel_for pool ~lo ~hi body = run pool ~lo ~hi (fun _ i -> body i)
+
+(* Element 0 seeds the result array, so no cell is ever uninitialised;
+   the caller computes it on its own participant's state. *)
+let map_array_pooled pool ~states f a =
+  if Array.length states < pool.size then
+    invalid_arg "Wnet_par.map_array_pooled: need one state per participant";
+  let n = Array.length a in
+  if n = 0 then [||]
+  else begin
+    let own = Option.value (slot_of pool) ~default:0 in
+    let res = Array.make n (f states.(own) a.(0)) in
+    Atomic.incr pool.exec_count;
+    run pool ~lo:1 ~hi:n (fun slot i -> res.(i) <- f states.(slot) a.(i));
+    res
   end
 
-let map_reduce pool ~map ~combine ~init a =
-  let n = Array.length a in
-  if n = 0 then init
-  else if pool.size = 1 then
-    Array.fold_left (fun acc x -> combine acc (map x)) init a
-  else begin
-    let partial = Array.make pool.size None in
-    run_job pool (fun slot ->
-        let lo, hi = chunk ~lo:0 ~hi:n pool.size slot in
-        if lo < hi then begin
-          let acc = ref (map a.(lo)) in
-          for i = lo + 1 to hi - 1 do
-            acc := combine !acc (map a.(i))
-          done;
-          partial.(slot) <- Some !acc
-        end);
-    Array.fold_left
-      (fun acc o -> match o with None -> acc | Some x -> combine acc x)
-      init partial
-  end
+let map_array pool f a =
+  map_array_pooled pool ~states:(Array.make pool.size ()) (fun () x -> f x) a

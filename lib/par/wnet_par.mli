@@ -1,28 +1,30 @@
 (** A fixed-size domain pool for deterministic data parallelism.
 
     The batch payment engine fans the per-relay avoidance Dijkstras and
-    the per-instance experiment loops out over OCaml 5 domains.  The pool
-    here is deliberately minimal: a fixed set of worker domains, static
-    chunking (no work stealing), and {e positional} result merging, so
-    that every combinator returns exactly what its sequential fallback
-    would — float for float, bit for bit — as long as the per-element
-    function is itself deterministic.  Determinism is the contract the
-    mechanism experiments rely on (a sweep must reproduce from its seed
-    regardless of how many domains ran it).
+    the per-instance experiment loops out over OCaml 5 domains.  Every
+    combinator runs through one work-stealing scheduler: each index is
+    one task, every participant seeds its own bounded Chase–Lev deque
+    with a contiguous chunk (so the uniform case keeps chunked locality),
+    and idle participants steal the stragglers.  Results are merged
+    {e positionally}, so every combinator returns exactly what its
+    sequential loop would — float for float, bit for bit — as long as
+    the per-element function is itself deterministic; only the execution
+    order, and which scratch state computes which element, depends on
+    scheduling.  Determinism is the contract the mechanism experiments
+    rely on (a sweep must reproduce from its seed regardless of how many
+    domains ran it).
 
-    Built on [Domain], [Mutex] and [Condition] from the standard library
-    only; no external dependencies.
+    Built on [Domain], [Atomic], [Mutex] and [Condition] from the
+    standard library only; no external dependencies.
 
     A pool of size 1 spawns no domains and runs everything inline in the
     caller, so sequential code pays nothing for the abstraction.
 
     Pools are {e single-owner}: only one {e top-level} call may be in
-    flight at a time.  Nested parallelism on the same pool is supported
-    through the work-stealing layer ({!submit}/{!await},
-    {!map_array_stealing}): a task running inside a stealing call may
-    itself fan out on the same pool, and idle participants backfill by
-    stealing.  The static-chunk combinators ([parallel_for],
-    [map_array*], [map_reduce]) must still not be nested. *)
+    flight at a time.  A call made from inside a running task on the
+    same pool nests: its tasks go on the calling participant's own
+    deque, and the caller runs queued or stolen tasks until they are
+    done. *)
 
 type t
 (** A pool of [size t] participants: the calling domain plus
@@ -31,8 +33,11 @@ type t
 val create : ?domains:int -> unit -> t
 (** [create ~domains ()] starts a pool with [domains] total participants
     ([domains - 1] spawned worker domains).  Defaults to
-    {!default_domains}.
-    @raise Invalid_argument if [domains < 1]. *)
+    {!default_domains}.  If a spawn fails part-way (other domains hold
+    part of the runtime's limit), the workers already started are shut
+    down before the exception is re-raised.
+    @raise Invalid_argument if [domains] is outside [\[1, 128\]] (OCaml
+    5.1's domain limit), before any domain is spawned. *)
 
 val default_domains : unit -> int
 (** Pool sizing policy: the [WNET_DOMAINS] environment variable when set
@@ -57,51 +62,32 @@ val with_pool : ?domains:int -> (t -> 'a) -> 'a
 
 val parallel_for : t -> lo:int -> hi:int -> (int -> unit) -> unit
 (** [parallel_for pool ~lo ~hi body] runs [body i] for every
-    [i ∈ \[lo, hi)], split into [size pool] contiguous chunks, one per
-    participant.  Iterations must be independent (they may write to
-    disjoint locations of shared arrays).  If any [body] raises, one of
-    the exceptions is re-raised in the caller after all chunks finish. *)
+    [i ∈ \[lo, hi)], one task per index.  Iterations must be
+    independent (they may write to disjoint locations of shared arrays).
+    This drives the per-round node fan-out of the distributed simulation
+    engine, where a few hub nodes can carry most of a round's inbox
+    traffic.  If any [body] raises, one of the exceptions is re-raised
+    in the caller after every index has run. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array pool f a] is [Array.map f a], computed in parallel.
+(** [map_array pool f a] is [Array.map f a], one task per element.
     Results are written positionally, so the output is identical for
-    every pool size when [f] is deterministic. *)
-
-val map_array_with :
-  t -> init:(unit -> 's) -> ('s -> 'a -> 'b) -> 'a array -> 'b array
-(** [map_array_with pool ~init f a] is {!map_array} with a per-chunk
-    state created by [init] — the hook for reusable scratch workspaces
-    (e.g. {!Wnet_graph.Dijkstra.make_scratch}): each participant
-    allocates one state and threads it through its whole chunk.  [f]'s
-    {e result} must not depend on the state's prior contents, or
-    determinism across pool sizes is lost. *)
+    every pool size when [f] is deterministic.  Exceptions as in
+    {!parallel_for}. *)
 
 val map_array_pooled :
   t -> states:'s array -> ('s -> 'a -> 'b) -> 'a array -> 'b array
-(** [map_array_pooled pool ~states f a] is {!map_array_with} with
-    {e caller-owned} states: participant [slot] threads [states.(slot)]
-    through its chunk.  Unlike [map_array_with]'s [init], the states
-    survive the call, so a long-running session can keep one scratch
-    workspace per domain alive across requests.  [f]'s result must not
-    depend on a state's prior contents (same contract as
-    {!map_array_with}); each state is used by at most one domain at a
-    time.
+(** [map_array_pooled pool ~states f a] is {!map_array} with
+    {e caller-owned} per-participant states: a task runs on
+    [states.(slot)] of the participant executing it, so a long-running
+    session can keep one scratch workspace per domain alive across
+    requests.  Which state computes which element is
+    scheduling-dependent, so [f]'s result must not depend on a state's
+    prior contents; each state is used by one domain at a time.
     @raise Invalid_argument when fewer states than participants are
     supplied. *)
 
-(** {1 Work stealing}
-
-    The combinators above assign elements to participants statically,
-    which wastes domains when element costs are wildly uneven (one huge
-    avoidance repair, one long Yen spur round).  The stealing layer
-    keeps the determinism contract — results land by index; only the
-    {e execution} order (and which scratch state computes which
-    element) is scheduling-dependent — while letting idle participants
-    steal queued tasks from busy ones.  Each participant owns a bounded
-    Chase–Lev deque (owner pushes/pops LIFO at the bottom, thieves CAS
-    the top); a full deque runs the task inline instead of blocking. *)
-
-(** The bounded Chase–Lev deque under the stealing layer, exposed for
+(** The bounded Chase–Lev deque under the scheduler, exposed for
     the per-primitive microbench suite ([bench/micro/bench_deque]) and
     anyone who wants the raw structure.  The scheduler's own usage
     contract applies: {!Deque.push}/{!Deque.pop} from the owning domain
@@ -122,67 +108,11 @@ module Deque : sig
   (** Any domain.  Oldest element (FIFO); [None] on a lost race. *)
 end
 
-type 'a task
-(** A handle to a unit of work scheduled with {!submit}. *)
-
-val submit : t -> (unit -> 'a) -> 'a task
-(** [submit pool f] schedules [f] for execution.  Inside a stealing
-    call on [pool], the task goes on the calling participant's deque
-    (stealable by idle participants); anywhere else — including size-1
-    pools — it runs inline immediately, the degenerate deterministic
-    schedule.  Exceptions raised by [f] are captured in the handle and
-    re-raised by {!await}. *)
-
-val await : t -> 'a task -> 'a
-(** [await pool tk] returns [tk]'s result, helping with queued work
-    (own deque first, then stealing) while it waits.
-    @raise exn whatever the task's function raised. *)
-
-val map_array_stealing : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array_stealing pool f a] is {!map_array} scheduled as one
-    stolen task per element: every participant seeds its deque with its
-    static chunk, so the uniform case keeps chunked locality, and
-    stealing only redistributes the stragglers.  May be called from
-    inside another stealing call on the same pool (the nested fan-out
-    is pushed onto the caller's own deque).  Results land by index:
-    output is identical for every pool size when [f] is
-    deterministic. *)
-
-val map_array_stealing_pooled :
-  t -> states:'s array -> ('s -> 'a -> 'b) -> 'a array -> 'b array
-(** [map_array_stealing_pooled pool ~states f a] is
-    {!map_array_stealing} with caller-owned per-participant states, as
-    in {!map_array_pooled}.  A stolen task uses the {e executing}
-    participant's state, so which state computes which element is
-    scheduling-dependent: [f]'s result must not depend on the state's
-    prior contents (same contract as {!map_array_pooled}).
-    @raise Invalid_argument when fewer states than participants are
-    supplied. *)
-
-val iter_stealing : t -> lo:int -> hi:int -> (int -> unit) -> unit
-(** [iter_stealing pool ~lo ~hi body] runs [body i] for every
-    [i ∈ \[lo, hi)] as one stolen task per index: {!parallel_for}'s
-    contract (independent iterations writing to disjoint locations) with
-    {!map_array_stealing}'s scheduling (static chunks seed the deques,
-    idle participants backfill stragglers).  This is what drives the
-    per-round node fan-out of the distributed simulation engine, where
-    a few hub nodes can carry most of a round's inbox traffic.  May be
-    nested inside another stealing call on the same pool.  If any [body]
-    raises, one exception is re-raised after all indices finish. *)
-
 type stats = { tasks_executed : int; tasks_stolen : int }
 (** Scheduler counters, cumulative over the pool's lifetime:
-    [tasks_executed] counts every task run through the stealing layer
-    (inline fallbacks included), [tasks_stolen] the subset executed by
-    a participant other than the one that queued them. *)
+    [tasks_executed] counts every task run (a size-1 call counts its [n]
+    elements; a larger map counts element 0, run by the caller, plus one
+    per queued task), [tasks_stolen] the subset executed by a
+    participant other than the one that queued them. *)
 
 val stats : t -> stats
-
-val map_reduce :
-  t -> map:('a -> 'b) -> combine:('b -> 'b -> 'b) -> init:'b -> 'a array -> 'b
-(** [map_reduce pool ~map ~combine ~init a] folds [combine] over
-    [map a.(i)] — each chunk is folded left-to-right, then the chunk
-    results are folded in chunk order.  This equals the sequential
-    [Array.fold_left] for every pool size when [combine] is associative;
-    for floating-point sums it is deterministic for a {e fixed} pool
-    size but may differ across pool sizes by rounding. *)

@@ -6,13 +6,13 @@ type tasks = { mutable executed : int; mutable stolen : int }
 
 let make_tasks () = { executed = 0; stolen = 0 }
 
-(* Fan [f] out over the pool's work-stealing layer (one task per
-   element, idle domains backfill) and fold the scheduler's counter
-   deltas into [tasks].  Calls never overlap on a session's pool, so the
-   before/after delta is exactly this call's tasks. *)
+(* Fan [f] out over the pool (one task per element, idle domains
+   backfill) and fold the scheduler's counter deltas into [tasks].
+   Calls never overlap on a session's pool, so the before/after delta is
+   exactly this call's tasks. *)
 let steal_map pool tasks ~states f a =
   let before = Wnet_par.stats pool in
-  let r = Wnet_par.map_array_stealing_pooled pool ~states f a in
+  let r = Wnet_par.map_array_pooled pool ~states f a in
   let after = Wnet_par.stats pool in
   tasks.executed <-
     tasks.executed + after.Wnet_par.tasks_executed

@@ -18,6 +18,9 @@
    hold the sessions' sparse outcomes (ascending relay ids, aligned
    payments) and their charges to them.
 
+   [digraph_rows] is [Digraph.create]'s link-list construction as a
+   [Hashtbl] keyed by (u, v), which the bucketed rows replaced.
+
    Two text-codec references sit at the end: the [Printf] float printer
    and the tokenizing served-line parser that [Wnet_proto]'s in-place
    writer and scanner replaced.
@@ -138,6 +141,31 @@ let node_batch g ~root =
           (Path.relays path);
         Some { U.src; dst = root; path; lcp_cost; payments }
       end)
+
+(* Rows sorted by target, one link per (u, v): a later duplicate
+   replaces the kept one only if strictly cheaper; [infinity] links are
+   dropped. *)
+let digraph_rows ~n ~links =
+  if n < 0 then invalid_arg "Digraph.create: negative node count";
+  let best = Hashtbl.create (2 * List.length links) in
+  List.iter
+    (fun (u, v, w) ->
+      if u < 0 || u >= n || v < 0 || v >= n then
+        invalid_arg "Digraph.create: endpoint out of range";
+      if u = v then invalid_arg "Digraph.create: self-loop";
+      if Float.is_nan w || w < 0.0 then
+        invalid_arg "Digraph.create: weight must be non-negative";
+      if w < infinity then
+        match Hashtbl.find_opt best (u, v) with
+        | Some w' when w' <= w -> ()
+        | _ -> Hashtbl.replace best (u, v) w)
+    links;
+  let rows = Array.make n [] in
+  Hashtbl.iter (fun (u, v) w -> rows.(u) <- (v, w) :: rows.(u)) best;
+  Array.map
+    (fun row ->
+      Array.of_list (List.sort (fun (a, _) (b, _) -> Int.compare a b) row))
+    rows
 
 (* ---------------- comparators ---------------- *)
 

@@ -376,8 +376,61 @@ let link_session_edit_kernel_prop seed =
   done;
   true
 
+(* ---------------- Digraph.create = the Hashtbl construction ---------------- *)
+
+(* Random link lists over a few nodes, rich in duplicates, equal
+   weights, signed zeros and [infinity]; now and then one bad link, so
+   the first validation error must match too. *)
+let create_prop seed =
+  let r = Test_util.rng seed in
+  let n = Rng.int r 9 in
+  let weights = [| 0.0; -0.0; 1.0; 1.0; 2.5; infinity |] in
+  let link () =
+    let w =
+      if Rng.bool r then Rng.choose r weights else Rng.float_range r 0.0 3.0
+    in
+    match Rng.int r 40 with
+    | 0 -> (Rng.int r (n + 1), Rng.int r (n + 2), w)
+    | 1 -> (0, 0, w)
+    | 2 -> (0, 1, Rng.choose r [| -1.0; nan |])
+    | _ ->
+      let u = Rng.int r n in
+      (u, (u + 1 + Rng.int r (n - 1)) mod n, w)
+  in
+  let links =
+    if n < 2 then [] else List.init (Rng.int r 60) (fun _ -> link ())
+  in
+  let result f =
+    match f ~n ~links with x -> Ok x | exception Invalid_argument e -> Error e
+  in
+  match (result Digraph.create, result Oracle.digraph_rows) with
+  | Error a, Error b when a = b -> true
+  | Ok g, Ok rows ->
+    let { Digraph.row_off; row_end; col; wgt } = Digraph.csr g in
+    let m = Array.fold_left (fun acc row -> acc + Array.length row) 0 rows in
+    if Digraph.m g <> m then
+      QCheck2.Test.fail_reportf "m = %d, oracle has %d" (Digraph.m g) m;
+    Array.iteri
+      (fun u row ->
+        if row_end.(u) - row_off.(u) <> Array.length row then
+          QCheck2.Test.fail_reportf "row %d length diverged" u;
+        Array.iteri
+          (fun k (v, w) ->
+            let i = row_off.(u) + k in
+            if col.(i) <> v
+               || Int64.bits_of_float wgt.(i) <> Int64.bits_of_float w
+            then
+              QCheck2.Test.fail_reportf "row %d slot %d: %d %h, oracle %d %h"
+                u k col.(i) wgt.(i) v w)
+          row)
+      rows;
+    true
+  | _ -> QCheck2.Test.fail_reportf "create and the oracle disagree on validity"
+
 let suite =
   [
+    Test_util.qcheck_case ~count:500 "digraph create = Hashtbl construction"
+      Test_util.seed_gen create_prop;
     Test_util.qcheck_case ~count:60 "digraph CSR = out_links under edits"
       Test_util.seed_gen digraph_edit_prop;
     Alcotest.test_case "digraph detach then rejoin moves no row" `Quick
